@@ -133,6 +133,37 @@ def write_cell(array: MramArray, row: int, col: int, state: MagState) -> MramArr
 
 
 # --- closed-form gate networks ----------------------------------------------
+#
+# The series/parallel arithmetic is factored into small helpers whose cell
+# parameters may hold numpy arrays (one entry per Monte-Carlo trial), so
+# gate execution and the batched Monte-Carlo kernel share one copy of it.
+
+def read_resistances(cells_in, cell_out: CellState):
+    """2T-1R branches: R_on + R_MTJ per input, R_on + R_channel at the output."""
+    r_in = [c.dev.R_on + mtj_resistance(c.dev, c.mag) for c in cells_in]
+    return r_in, cell_out.dev.R_on + channel_resistance(cell_out.dev)
+
+
+def divider_resistances(cells_in, cell_out: CellState):
+    """VGSOT divider branches: the input MTJs and the output MTJ."""
+    return ([mtj_resistance(c.dev, c.mag) for c in cells_in],
+            mtj_resistance(cell_out.dev, cell_out.mag))
+
+
+def parallel_resistance(resistances):
+    """Equivalent resistance of parallel branches (conductances summed in order)."""
+    return 1.0 / sum(1.0 / r for r in resistances)
+
+
+def series_current(r_par, r_out, v):
+    """Current from the drive through the input bank and the output path."""
+    return v / (r_par + r_out)
+
+
+def divider_voltage(r_par, r_out, v_in):
+    """Floating bit-line voltage between the input bank and the output MTJ."""
+    return v_in * r_out / (r_out + r_par)
+
 
 def solve_2t1r_read(cells_in, cell_out: CellState, v_rbl: float) -> NetworkSolution:
     """Read-current network: inputs drive the output cell's SOT channel.
@@ -147,11 +178,8 @@ def solve_2t1r_read(cells_in, cell_out: CellState, v_rbl: float) -> NetworkSolut
     """
     if not cells_in:
         raise ValueError("need at least one input cell")
-    r_in = [c.dev.R_on + mtj_resistance(c.dev, c.mag) for c in cells_in]
-    r_out = cell_out.dev.R_on + channel_resistance(cell_out.dev)
-    g_in = sum(1.0 / r for r in r_in)
-    r_par = 1.0 / g_in
-    i_total = v_rbl / (r_par + r_out)
+    r_in, r_out = read_resistances(cells_in, cell_out)
+    i_total = series_current(parallel_resistance(r_in), r_out, v_rbl)
     v_sl = i_total * r_out
 
     branches = [Branch(f"in{k}", "rbl", "sl", (v_rbl - v_sl) / r)
@@ -172,12 +200,10 @@ def solve_vgsot_divider(cells_in, cell_out: CellState, v_in: float) -> NetworkSo
     """
     if not cells_in:
         raise ValueError("need at least one input cell")
-    r_in = [mtj_resistance(c.dev, c.mag) for c in cells_in]
-    r_out = mtj_resistance(cell_out.dev, cell_out.mag)
-    g_in = sum(1.0 / r for r in r_in)
-    r_par = 1.0 / g_in
-    v_bl = v_in * r_out / (r_out + r_par)
-    i_total = v_in / (r_out + r_par)
+    r_in, r_out = divider_resistances(cells_in, cell_out)
+    r_par = parallel_resistance(r_in)
+    v_bl = divider_voltage(r_par, r_out, v_in)
+    i_total = series_current(r_par, r_out, v_in)
 
     branches = [Branch(f"in{k}", "wbl", "bl", (v_in - v_bl) / r)
                 for k, r in enumerate(r_in)]

@@ -24,7 +24,7 @@ from .gates import (Calibration, GateConfigError, GateKind, GateOp,
                     margin_analysis, parse_gate_ops, truth_table,
                     worst_input_density)
 from .report import Table, config_digest, emit_csv, emit_json, make_bundle
-from .variation import VariationSpec, mc_tables, run_mc
+from .variation import RNG_STREAM, VariationSpec, mc_tables, run_mc
 
 EXIT_OK = 0
 EXIT_LOGIC = 1
@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-t-f", type=float, default=0.03)
     p.add_argument("--sigma-tmr", type=float, default=0.03)
     p.add_argument("--sigma-ra", type=float, default=0.0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (capped at the CPU count)")
     p.add_argument("--bins", type=int, default=32)
 
     p = sub.add_parser("margin", help="per-pattern analog margins")
@@ -288,15 +289,16 @@ def _variation_from_args(args) -> VariationSpec:
 
 
 def cmd_mc(args) -> int:
+    vspec = _variation_from_args(args)
     spec = _resolve_spec(args)
     kind = _resolve_gate(args)
     spec, op, cal = _calibrated_setup(args, spec, kind)
-    vspec = _variation_from_args(args)
     result = run_mc(spec, op, args.trials, vspec, n_workers=args.workers)
 
     summary, trials, histogram, hist = mc_tables(result, args.bins)
     extra = _calibration_meta(cal, op)
     extra["trials"] = args.trials
+    extra["rng_stream"] = RNG_STREAM
     extra["overlap_fraction"] = hist.overlap_fraction
     bundle = make_bundle(_meta(args, spec, extra),
                          tables=[summary, trials], histograms=[histogram])

@@ -133,20 +133,16 @@ def mtj_area(p: DeviceParams) -> float:
     return math.pi * p.D * p.D / 4.0
 
 
-def mtj_tmr(p: DeviceParams, v_bias: float = 0.0) -> float:
-    """TMR ratio at the given bias. Bias roll-off is disabled: TMR(v) = TMR0."""
-    return p.TMR0
-
-
-def mtj_resistance(p: DeviceParams, state: MagState, v_bias: float = 0.0) -> float:
+def mtj_resistance(p: DeviceParams, state: MagState) -> float:
     """MTJ resistance in ohms for the given magnetization state.
 
-    R_P = RA / A_MTJ, R_AP = R_P * (1 + TMR(v_bias)).
+    R_P = RA / A_MTJ, R_AP = R_P * (1 + TMR0); TMR has no bias roll-off.
+    Array-valued fields of ``p`` give an array of resistances.
     """
     r_p = p.RA * UM2 / mtj_area(p)
     if state is MagState.P:
         return r_p
-    return r_p * (1.0 + mtj_tmr(p, v_bias))
+    return r_p * (1.0 + p.TMR0)
 
 
 def channel_resistance(p: DeviceParams) -> float:
@@ -172,19 +168,23 @@ def critical_sot_current(p: DeviceParams, v_gate: float = 0.0,
     ``include_exchange`` subtracts the in-plane exchange-field term
     mu0 |H_EX| / sqrt(2) from the anisotropy field term (off by default;
     direction handling is left to the polarity logic).
+
+    Fields of ``p`` and ``v_gate`` may be numpy arrays (one entry per
+    trial); the result then is an array, clamped elementwise.
     """
     ki = p.Ki0 - p.beta * v_gate / p.t_ox
     k_eff = ki / p.t_f - MU0 * p.Ms * p.Ms / 2.0
-    if k_eff <= 0.0:
-        return 0.0
     h_k_eff = 2.0 * k_eff / (MU0 * p.Ms)
     field_term = MU0 * h_k_eff / 2.0
+    barrier = k_eff > 0.0
     if include_exchange:
-        field_term -= MU0 * abs(p.H_EX) / math.sqrt(2.0)
-        if field_term <= 0.0:
-            return 0.0
+        field_term = field_term - MU0 * abs(p.H_EX) / math.sqrt(2.0)
+        barrier = barrier & (field_term > 0.0)
     j_c = (2.0 * Q_E / HBAR) * (p.Ms * p.t_f / p.theta_SH) * field_term
-    return p.Ic_cal * j_c * p.W * p.T
+    i_c = p.Ic_cal * j_c * p.W * p.T
+    if isinstance(barrier, np.ndarray):
+        return np.where(barrier, i_c, 0.0)
+    return i_c if barrier else 0.0
 
 
 def switch_decision(i_applied: float, i_crit: float, polarity: Polarity,
@@ -201,19 +201,28 @@ def switch_decision(i_applied: float, i_crit: float, polarity: Polarity,
     """
     if i_crit < 0.0:
         raise ValueError("i_crit must be >= 0")
-    direction_ok = (i_applied > 0.0 and polarity is Polarity.P_TO_AP) or \
-                   (i_applied < 0.0 and polarity is Polarity.AP_TO_P)
-    if not direction_ok:
+    if width <= 0.0:
+        return bool(switches(i_applied, i_crit, polarity))
+    if not switches(i_applied, 0.0, polarity):  # wrong current direction
         return False
-    if width > 0.0:
-        if rng is None:
-            raise ValueError("stochastic switching needs an rng")
-        if i_crit == 0.0:
-            return True
-        x = (abs(i_applied) - i_crit) / (width * i_crit)
-        prob = 1.0 / (1.0 + math.exp(-x))
-        return bool(rng.random() < prob)
-    return abs(i_applied) >= i_crit
+    if rng is None:
+        raise ValueError("stochastic switching needs an rng")
+    if i_crit == 0.0:
+        return True
+    x = (abs(i_applied) - i_crit) / (width * i_crit)
+    prob = 1.0 / (1.0 + math.exp(-x))
+    return bool(rng.random() < prob)
+
+
+def switches(i_applied, i_crit, polarity: Polarity):
+    """Deterministic switch verdict; elementwise when given arrays.
+
+    Switch iff the current direction matches the requested transition and
+    |i_applied| >= i_crit (ties switch).
+    """
+    direction_ok = i_applied > 0.0 if polarity is Polarity.P_TO_AP \
+        else i_applied < 0.0
+    return direction_ok & (abs(i_applied) >= i_crit)
 
 
 def check_read_disturb(p: DeviceParams, i_mtj: float) -> bool:

@@ -159,8 +159,8 @@ class GateTrace:
     v_bl: float | None  # bit-line voltage (voltage-gated scheme only)
 
 
-def _validate_op(array: MramArray, op: GateOp) -> None:
-    spec = array.spec
+def check_op_fits(spec: ArraySpec, op: GateOp) -> None:
+    """Raise GateConfigError unless the op's rows and column are in the array."""
     for row in op.input_rows + (op.output_row,):
         if not 0 <= row < spec.rows:
             raise GateConfigError(f"row {row} out of bounds for {spec.rows}-row array")
@@ -178,7 +178,7 @@ def execute_gate(array: MramArray, op: GateOp, switch_width: float = 0.0,
     Input cells are never mutated; read-disturb is checked on every input
     MTJ current and recorded as an advisory verdict.
     """
-    _validate_op(array, op)
+    check_op_fits(array.spec, op)
     arr = write_cell(array, op.output_row, op.col, op.out_init)
     cells_in = [arr.cell(r, op.col) for r in op.input_rows]
     cell_out = arr.cell(op.output_row, op.col)

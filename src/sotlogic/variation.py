@@ -1,27 +1,44 @@
 """Process-variation sampling and Monte-Carlo gate campaigns.
 
-Every trial gets its own counter-based random stream keyed by
-(seed, pattern index, trial index), so campaigns are bit-reproducible
-independent of execution order and worker count. Device mismatch and
-process variation are collapsed into independent per-cell sampling; the
-varied quantities are the oxide thickness, the free-layer thickness and
-the TMR ratio (plus an optional RA knob for sensitivity studies).
+Campaigns run in blocks of ``BLOCK`` trials per input pattern. Each
+(pattern, block) pair draws all of its deviates from one counter-based
+Philox stream keyed by (seed, pattern index << 32 | block index) -- random
+stream 2 -- and evaluates the whole block as array operations, so
+campaigns are bit-reproducible independent of execution order and worker
+count. Device mismatch and process variation are collapsed into
+independent per-cell sampling; the varied quantities are the oxide
+thickness, the free-layer thickness and the TMR ratio (plus an optional RA
+knob for sensitivity studies).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArraySpec, CellState, MramArray, Topology
-from .device import DeviceParams, MagState
-from .gates import GateOp, boolean_output, execute_gate, pattern_bits, pattern_label
+from .array import (ArraySpec, CellState, Topology, divider_resistances,
+                    divider_voltage, parallel_resistance, read_resistances,
+                    series_current)
+from .device import (DeviceParams, MagState, critical_sot_current,
+                     switches)
+from .gates import (GateOp, boolean_output, check_op_fits, pattern_bits,
+                    pattern_label, switch_polarity)
 from .report import HistogramTable, Table
 
+RNG_STREAM = 2        # version of the stream layout, recorded in reports
+BLOCK = 4096          # trials per random stream; never depends on workers
 TRUNCATION_SIGMA = 4.0
 _MAX_INDEX = 2 ** 32
+
+# Varied DeviceParams fields in draw order, each with its VariationSpec sigma.
+VARIED = (("t_ox", "sigma_t_ox"), ("t_f", "sigma_t_f"), ("TMR0", "sigma_tmr"),
+          ("RA", "sigma_ra"))
 
 
 @dataclass(frozen=True)
@@ -40,22 +57,42 @@ class VariationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("sigma_t_ox", "sigma_t_f", "sigma_tmr", "sigma_ra"):
-            if getattr(self, name) < 0.0:
+        for _, name in VARIED:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-            if getattr(self, name) * TRUNCATION_SIGMA >= 1.0:
+            if value * TRUNCATION_SIGMA >= 1.0:
                 raise ValueError(f"{name} too large: truncated deviates would "
                                  "allow nonpositive parameters")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 
+    @property
+    def drawn(self) -> tuple:
+        """(field, sigma) of every deviate drawn per cell, in draw order.
+
+        t_ox, t_f and TMR0 are always drawn; RA only when ``sigma_ra > 0``.
+        """
+        return tuple((field, getattr(self, name)) for field, name in VARIED
+                     if field != "RA" or self.sigma_ra > 0.0)
+
+
+def _philox(seed: int, pattern_index: int, index: int) -> np.random.Generator:
+    if not (0 <= pattern_index < _MAX_INDEX and 0 <= index < _MAX_INDEX):
+        raise ValueError("pattern and trial or block indices must fit in 32 bits")
+    key = np.array([seed, (pattern_index << 32) | index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
 
 def trial_rng(seed: int, pattern_index: int, trial_index: int) -> np.random.Generator:
-    """Independent Philox stream for one (pattern, trial) pair."""
-    if not (0 <= pattern_index < _MAX_INDEX and 0 <= trial_index < _MAX_INDEX):
-        raise ValueError("pattern and trial indices must fit in 32 bits")
-    key = np.array([seed, (pattern_index << 32) | trial_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Independent Philox stream for one (pattern, trial) pair.
+
+    A scalar view for statistical checks; campaigns draw per block
+    (:func:`block_deviates`).
+    """
+    return _philox(seed, pattern_index, trial_index)
 
 
 def truncated_normal(rng: np.random.Generator) -> float:
@@ -73,14 +110,61 @@ def sample_cell(nominal: DeviceParams, spec: VariationSpec,
     Draw order is fixed (t_ox, t_f, TMR0, then RA when enabled) so streams
     stay comparable across configurations.
     """
-    changes = {
-        "t_ox": nominal.t_ox * (1.0 + spec.sigma_t_ox * truncated_normal(rng)),
-        "t_f": nominal.t_f * (1.0 + spec.sigma_t_f * truncated_normal(rng)),
-        "TMR0": nominal.TMR0 * (1.0 + spec.sigma_tmr * truncated_normal(rng)),
-    }
-    if spec.sigma_ra > 0.0:
-        changes["RA"] = nominal.RA * (1.0 + spec.sigma_ra * truncated_normal(rng))
-    return nominal.replace(**changes)
+    return nominal.replace(**{
+        field: getattr(nominal, field) * (1.0 + sigma * truncated_normal(rng))
+        for field, sigma in spec.drawn})
+
+
+def block_deviates(spec: VariationSpec, pattern_index: int, block_index: int,
+                   rows: int, cells: int) -> np.ndarray:
+    """Truncated standard normals of one (pattern, block) stream.
+
+    Shape (rows, cells, draws): one row per trial, cells in input order
+    then the output cell, draws in ``spec.drawn`` order. Entries beyond
+    +/- 4 sigma are redrawn in row-major order from the same stream until
+    none is left.
+    """
+    rng = _philox(spec.seed, pattern_index, block_index)
+    z = rng.standard_normal((rows, cells, len(spec.drawn)))
+    flat = z.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > TRUNCATION_SIGMA)
+    while bad.size:
+        flat[bad] = rng.standard_normal(bad.size)
+        bad = bad[np.abs(flat[bad]) > TRUNCATION_SIGMA]
+    return z
+
+
+class CellArrays:
+    """One cell's device parameters over a block of trials.
+
+    Each drawn field is an array with one entry per trial; every other
+    attribute reads through to the shared nominal DeviceParams. The closed
+    forms of :mod:`.device` and :mod:`.array` accept it wherever they take
+    DeviceParams.
+    """
+
+    def __init__(self, nominal: DeviceParams, **varied):
+        self.nominal = nominal
+        self.__dict__.update(varied)
+
+    def __getattr__(self, name):
+        return getattr(self.nominal, name)
+
+
+def sample_block(nominal: DeviceParams, spec: VariationSpec,
+                 z: np.ndarray) -> list:
+    """Per-cell struct-of-arrays parameters from a block's deviates.
+
+    Each drawn field is nominal * (1 + sigma z), elementwise as in
+    :func:`sample_cell`; fields not drawn stay nominal.
+    """
+    drawn = spec.drawn
+    base = np.array([getattr(nominal, field) for field, _ in drawn])
+    sigma = np.array([sigma for _, sigma in drawn])
+    values = base * (1.0 + sigma * z)
+    return [CellArrays(nominal, **{field: values[:, k, d]
+                                   for d, (field, _) in enumerate(drawn)})
+            for k in range(z.shape[1])]
 
 
 @dataclass
@@ -130,45 +214,45 @@ class MCResult:
         raise KeyError(f"no pattern {bits!r}")
 
 
-def _template_array(array_spec: ArraySpec) -> MramArray:
-    # Non-participating cells never enter the solved network, so one
-    # nominal template serves every trial; only the gate's cells are replaced.
-    return MramArray.uniform(array_spec)
+def _run_block(array_spec: ArraySpec, op: GateOp, spec: VariationSpec,
+               n: int, task: tuple):
+    """Sample and execute trials [block * BLOCK, ...) of one pattern.
 
-
-def _run_trial(template: MramArray, array_spec: ArraySpec, op: GateOp,
-               vspec: VariationSpec, pattern_index: int, trial_index: int):
-    rng = trial_rng(vspec.seed, pattern_index, trial_index)
+    Mirrors :func:`.gates.execute_gate` on whole arrays: the same
+    resistances, network arithmetic, threshold law and switch verdict.
+    Returns (success flags, observables stacked as in ``run_mc``).
+    """
+    pattern_index, block = task
+    rows = min(BLOCK, n - block * BLOCK)
     bits = pattern_bits(pattern_index, op.n_inputs)
-    arr = template
-    for row, bit in zip(op.input_rows, bits):
-        dev = sample_cell(array_spec.nominal, vspec, rng)
-        arr = arr.with_cell(row, op.col, CellState(MagState.from_bit(bit), dev))
-    out_dev = sample_cell(array_spec.nominal, vspec, rng)
-    arr = arr.with_cell(op.output_row, op.col, CellState(op.out_init, out_dev))
+    z = block_deviates(spec, pattern_index, block, rows, op.n_inputs + 1)
+    *devs_in, dev_out = sample_block(array_spec.nominal, spec, z)
+    cells_in = [CellState(MagState.from_bit(b), dev)
+                for b, dev in zip(bits, devs_in)]
+    cell_out = CellState(op.out_init, dev_out)
 
-    trace = execute_gate(arr, op)
-    actual = trace.post.cell(op.output_row, op.col).mag.bit
-    success = actual == boolean_output(op.kind, bits)
     if array_spec.topology is Topology.TWO_T_ONE_R:
-        obs = (trace.solution.current("out"), trace.i_crit)
+        r_in, r_out = read_resistances(cells_in, cell_out)
+        i_drive = series_current(parallel_resistance(r_in), r_out, op.v_drive)
+        i_crit = critical_sot_current(dev_out, 0.0)
+        first = i_drive
     else:
-        obs = (trace.v_bl, trace.i_crit)
-    return success, obs
+        r_in, r_out = divider_resistances(cells_in, cell_out)
+        first = divider_voltage(parallel_resistance(r_in), r_out, op.v_drive)
+        i_crit = critical_sot_current(dev_out, first)
+        i_drive = op.i_sot
+
+    switched = switches(i_drive, i_crit, switch_polarity(op.kind))
+    out_bit = np.where(switched, op.out_init.flipped.bit, op.out_init.bit)
+    # i_crit always varies (t_ox, t_f); the first observable is constant
+    # when no drawn field reaches it (e.g. all-P inputs without RA spread).
+    observables = np.stack([np.broadcast_to(first, i_crit.shape), i_crit])
+    return out_bit == boolean_output(op.kind, bits), observables
 
 
-def _run_chunk(args):
-    array_spec, op, vspec, pattern_index, start, stop = args
-    template = _template_array(array_spec)
-    flags = []
-    columns = [[], []]
-    for trial in range(start, stop):
-        success, obs = _run_trial(template, array_spec, op, vspec,
-                                  pattern_index, trial)
-        flags.append(success)
-        columns[0].append(obs[0])
-        columns[1].append(obs[1])
-    return pattern_index, start, np.asarray(flags, dtype=bool), np.asarray(columns)
+def _pool_size(requested: int, n_tasks: int) -> int:
+    """Worker processes for a campaign: capped by the CPUs and the tasks."""
+    return max(1, min(requested, os.cpu_count() or 1, n_tasks))
 
 
 def run_mc(array_spec: ArraySpec, op: GateOp, n: int, spec: VariationSpec,
@@ -176,36 +260,38 @@ def run_mc(array_spec: ArraySpec, op: GateOp, n: int, spec: VariationSpec,
     """Monte-Carlo campaign: n independent trials per input pattern.
 
     Each trial resamples every participating cell, executes the gate, and
-    counts success iff the output matches the gate's boolean value. The
-    result is bit-identical for any ``n_workers``.
+    counts success iff the output matches the gate's boolean value. Trials
+    run in (pattern, block) tasks of up to ``BLOCK`` trials, in process or
+    on a pool of at most ``n_workers`` processes; the result is
+    bit-identical for any ``n_workers``.
     """
     if n < 1:
         raise ValueError("need at least one trial")
+    check_op_fits(array_spec, op)
     names = ("i_out", "i_crit") if array_spec.topology is Topology.TWO_T_ONE_R \
         else ("v_bl", "i_crit")
 
     n_patterns = 2 ** op.n_inputs
-    chunk = max(1, -(-n // max(1, n_workers)))  # ceil division
-    tasks = [(array_spec, op, spec, p, start, min(start + chunk, n))
-             for p in range(n_patterns) for start in range(0, n, chunk)]
-
-    if n_workers <= 1:
-        parts = [_run_chunk(t) for t in tasks]
+    n_blocks = -(-n // BLOCK)  # ceil division
+    tasks = [(p, b) for p in range(n_patterns) for b in range(n_blocks)]
+    kernel = functools.partial(_run_block, array_spec, op, spec, n)
+    workers = _pool_size(n_workers, len(tasks))
+    if workers == 1:
+        parts = [kernel(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(_run_chunk, tasks))
-    parts.sort(key=lambda item: (item[0], item[1]))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(kernel, tasks))  # in task order
 
     patterns = []
     for p in range(n_patterns):
-        own = [part for part in parts if part[0] == p]
-        flags = np.concatenate([part[2] for part in own])
-        data = np.concatenate([part[3] for part in own], axis=1)
+        own = parts[p * n_blocks:(p + 1) * n_blocks]
+        flags = np.concatenate([part[0] for part in own])
+        data = np.concatenate([part[1] for part in own], axis=1)
         bits = pattern_bits(p, op.n_inputs)
         patterns.append(PatternStats(
             bits=bits, expected=boolean_output(op.kind, bits), trials=n,
             successes=int(flags.sum()), success_flags=flags,
-            observables={name: data[i].copy() for i, name in enumerate(names)}))
+            observables=dict(zip(names, data))))
     return MCResult(topology=array_spec.topology, op=op, variation=spec,
                     trials=n, patterns=tuple(patterns))
 
@@ -284,10 +370,9 @@ def mc_tables(result: MCResult, bins: int = 32):
     obs_names = sorted(result.patterns[0].observables)
     trial_rows = []
     for p in result.patterns:
-        for t in range(p.trials):
-            trial_rows.append((p.label, t) +
-                              tuple(float(p.observables[n][t]) for n in obs_names) +
-                              (bool(p.success_flags[t]),))
+        trial_rows.extend(zip(itertools.repeat(p.label), range(p.trials),
+                              *(p.observables[n].tolist() for n in obs_names),
+                              p.success_flags.tolist()))
     trials = Table("trials",
                    tuple(["pattern", "trial"] + obs_names + ["success"]),
                    tuple(trial_rows))

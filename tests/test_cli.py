@@ -115,6 +115,36 @@ def test_mc_json_format(tmp_path):
     assert summary["columns"][-1] == "success_rate"
     assert len(summary["rows"]) == 4
     assert doc["meta"]["seed"] == 3
+    assert doc["meta"]["rng_stream"] == 2
+
+
+def test_mc_csv_reports_record_rng_stream(tmp_path):
+    out = tmp_path / "o"
+    assert main(["mc", "-n", "10", "--out", str(out)]) == 0
+    for name in ("mc_summary.csv", "mc_trials.csv", "mc_histogram.csv"):
+        assert "# rng_stream=2" in (out / name).read_text().splitlines()
+
+
+def test_mc_spanning_two_blocks_worker_invariant(tmp_path):
+    base = ["mc", "-n", "4099", "--seed", "12", "--inputs", "1"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(base + ["--workers", "1", "--out", str(a)]) == 0
+    assert main(base + ["--workers", "2", "--out", str(b)]) == 0
+    for name in ("mc_summary.csv", "mc_trials.csv", "mc_histogram.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    _, rows = read_table(a / "mc_trials.csv")
+    assert len(rows) == 2 * 4099
+
+
+@pytest.mark.parametrize("flags, field", [(["--sigma", "nan"], "sigma_t_ox"),
+                                          (["--sigma-ra", "inf"], "sigma_ra")])
+def test_mc_rejects_non_finite_sigma(tmp_path, capsys, flags, field):
+    code = main(["mc", "-n", "10", "--out", str(tmp_path / "o")] + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert field in err and "finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_finds_feasibility_boundary(tmp_path):

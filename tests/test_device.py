@@ -117,6 +117,20 @@ def test_exchange_correction_lowers_threshold():
     assert 0.0 < with_field < critical_sot_current(P2, 0.0)
 
 
+@pytest.mark.parametrize("include_exchange", [False, True])
+def test_threshold_on_arrays_equals_scalar_calls(include_exchange):
+    # The batched Monte-Carlo kernel evaluates the same law on arrays; the
+    # clamp must act elementwise and scalar calls must stay Python floats.
+    import numpy as np
+    volts = np.array([0.0, 0.5, 1.0, 1.25, 1.5, 3.0])
+    scalar = [critical_sot_current(P2, float(v), include_exchange)
+              for v in volts]
+    assert all(type(i) is float for i in scalar)
+    assert scalar[-1] == 0.0 and scalar[0] > 0.0
+    assert np.array_equal(critical_sot_current(P2, volts, include_exchange),
+                          scalar)
+
+
 # --- switch decision ---------------------------------------------------------------
 
 def test_switch_above_threshold():
@@ -135,6 +149,17 @@ def test_polarity_must_match_current_sign():
     assert not switch_decision(150e-6, 100e-6, Polarity.AP_TO_P)
     assert switch_decision(-150e-6, 100e-6, Polarity.AP_TO_P)
     assert not switch_decision(-150e-6, 100e-6, Polarity.P_TO_AP)
+
+
+def test_switches_on_arrays_matches_switch_decision():
+    import numpy as np
+    from sotlogic.device import switches
+    currents = np.array([-150e-6, -100e-6, -50e-6, 0.0, 50e-6, 100e-6,
+                         150e-6])
+    for polarity in Polarity:
+        expected = [switch_decision(float(i), 100e-6, polarity)
+                    for i in currents]
+        assert switches(currents, 100e-6, polarity).tolist() == expected
 
 
 def test_decision_is_pure():

@@ -1,13 +1,20 @@
 """Sampling determinism, Monte-Carlo campaigns, and histogram statistics."""
 
+import itertools
+import os
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from sotlogic import (ArraySpec, DeviceParams, GateKind, MramArray, Topology,
-                      VariationSpec, calibrate_gate, current_histogram,
-                      execute_gate, run_mc, sample_cell, trial_rng)
-from sotlogic.variation import TRUNCATION_SIGMA, truncated_normal
+from sotlogic import (ArraySpec, DeviceParams, GateKind, MagState, MramArray,
+                      Topology, VariationSpec, calibrate_gate,
+                      critical_sot_current, current_histogram, execute_gate,
+                      mc_tables, run_mc, sample_cell, trial_rng)
+from sotlogic.array import CellState
+from sotlogic.variation import (BLOCK, TRUNCATION_SIGMA, _pool_size,
+                                block_deviates, sample_block,
+                                truncated_normal)
 
 P2 = DeviceParams.default_2t1r()
 
@@ -57,13 +64,25 @@ def test_ra_knob_enables_resistance_variation():
 
 
 def test_empirical_sigma_of_t_ox():
-    # 1e5 independent streams at sigma = 3%: relative std in [0.028, 0.032].
+    # 1e5 draws of the block sampler campaigns use, at sigma = 3%:
+    # relative std in [0.028, 0.032], deviates truncated at 4 sigma.
     spec = VariationSpec(seed=99)
-    ratios = np.empty(100_000)
-    for t in range(ratios.size):
-        ratios[t] = sample_cell(P2, spec, trial_rng(99, 0, t)).t_ox / P2.t_ox
+    z = block_deviates(spec, 0, 0, 100_000, 1)
+    ratios = sample_block(P2, spec, z)[0].t_ox / P2.t_ox
+    assert ratios.size == 100_000
     assert 0.028 <= ratios.std() <= 0.032
     assert abs(ratios.mean() - 1.0) < 5e-4
+    assert np.abs(z).max() <= TRUNCATION_SIGMA
+
+
+def test_block_deviates_layout():
+    assert block_deviates(VariationSpec(seed=1), 2, 0, 10, 3).shape == (10, 3, 3)
+    with_ra = VariationSpec(sigma_ra=0.05, seed=1)
+    assert block_deviates(with_ra, 2, 0, 10, 3).shape == (10, 3, 4)
+    a = block_deviates(with_ra, 2, 0, 10, 3)
+    assert np.array_equal(a, block_deviates(with_ra, 2, 0, 10, 3))
+    assert not np.array_equal(a, block_deviates(with_ra, 2, 1, 10, 3))
+    assert not np.array_equal(a, block_deviates(with_ra, 3, 0, 10, 3))
 
 
 def test_truncation_bounds_deviates():
@@ -81,6 +100,14 @@ def test_variation_spec_validation():
         VariationSpec(seed=-1)
     with pytest.raises(ValueError):
         trial_rng(0, 0, 2 ** 32)
+
+
+@pytest.mark.parametrize("name", ["sigma_t_ox", "sigma_t_f", "sigma_tmr",
+                                  "sigma_ra"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_variation_spec_rejects_non_finite_sigma(name, value):
+    with pytest.raises(ValueError, match=name):
+        VariationSpec(**{name: value})
 
 
 # --- Monte-Carlo campaigns -----------------------------------------------------------
@@ -177,6 +204,92 @@ def test_symmetric_patterns_indistinguishable():
     a = result.pattern((1, 0)).observables["i_out"]
     b = result.pattern((0, 1)).observables["i_out"]
     assert scipy_stats.ks_2samp(a, b).pvalue > 0.01
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("kind", list(GateKind))
+@pytest.mark.parametrize("n_inputs", [1, 2, 3])
+def test_kernel_matches_execute_gate_trial_by_trial(topology, kind, n_inputs):
+    # Replay every trial of one block through execute_gate on an array built
+    # from that trial's sampled parameters: verdicts must agree exactly and
+    # observables to 1e-12 (pins the reversed-polarity OR/AND conventions).
+    params = P2 if topology is Topology.TWO_T_ONE_R \
+        else DeviceParams.default_vgsot()
+    spec = ArraySpec(topology, max(3, n_inputs + 1), 1, params)
+    spec, op = calibrate_gate(spec, kind, n_inputs,
+                              margin_fraction=0.2).apply(spec)
+    vspec = VariationSpec(sigma_ra=0.05 if n_inputs == 2 else 0.0, seed=2024)
+    n = 24
+    result = run_mc(spec, op, n, vspec)
+    first = "i_out" if topology is Topology.TWO_T_ONE_R else "v_bl"
+    verdicts = set()
+    for index, p in enumerate(result.patterns):
+        cells = sample_block(spec.nominal, vspec,
+                             block_deviates(vspec, index, 0, n, n_inputs + 1))
+        for t in range(n):
+            devs = [cell.nominal.replace(**{f: float(getattr(cell, f)[t])
+                                            for f, _ in vspec.drawn})
+                    for cell in cells]
+            arr = MramArray.uniform(spec)
+            for row, bit, dev in zip(op.input_rows, p.bits, devs):
+                arr = arr.with_cell(row, op.col,
+                                    CellState(MagState.from_bit(bit), dev))
+            arr = arr.with_cell(op.output_row, op.col,
+                                CellState(op.out_init, devs[-1]))
+            trace = execute_gate(arr, op)
+            actual = trace.post.cell(op.output_row, op.col).mag.bit
+            assert bool(p.success_flags[t]) == (actual == p.expected)
+            oracle = {"i_out": trace.solution.current("out"),
+                      "v_bl": trace.v_bl, "i_crit": trace.i_crit}
+            for name in (first, "i_crit"):
+                assert p.observables[name][t] == \
+                    pytest.approx(oracle[name], rel=1e-12, abs=0.0)
+            verdicts.add(bool(p.success_flags[t]))
+    assert verdicts == {True, False}
+
+
+def test_campaign_spanning_blocks_is_worker_independent():
+    spec, op = nor_setup()
+    v = VariationSpec(seed=4242)
+    serial = run_mc(spec, op, BLOCK + 3, v, n_workers=1)
+    pooled = run_mc(spec, op, BLOCK + 3, v, n_workers=3)
+    for a, b in zip(serial.patterns, pooled.patterns):
+        assert a.trials == b.trials == BLOCK + 3
+        assert a.success_flags.shape == (BLOCK + 3,)
+        assert a.success_flags.tobytes() == b.success_flags.tobytes()
+        for name in a.observables:
+            assert a.observables[name].shape == (BLOCK + 3,)
+            assert a.observables[name].tobytes() == b.observables[name].tobytes()
+    # Trials past the first block come from the stream of block 1.
+    out_cell = sample_block(spec.nominal, v, block_deviates(v, 0, 1, 3, 3))[-1]
+    assert np.array_equal(serial.patterns[0].observables["i_crit"][BLOCK:],
+                          critical_sot_current(out_cell, 0.0))
+
+
+def test_pool_size_is_capped_without_starting_processes():
+    cpus = os.cpu_count() or 1
+    assert _pool_size(10 ** 9, 10 ** 6) == cpus
+    assert _pool_size(10 ** 9, 3) == min(cpus, 3)
+    assert _pool_size(2, 10) == min(2, cpus)
+    assert _pool_size(1, 10) == 1
+    assert _pool_size(0, 10) == 1
+    assert _pool_size(-5, 10) == 1
+    assert _pool_size(8, 1) == 1
+
+
+def test_trial_rows_are_plain_python_values():
+    spec, op = nor_setup()
+    result = run_mc(spec, op, 7, VariationSpec(seed=3))
+    _, trials, _, _ = mc_tables(result)
+    assert trials.columns == ("pattern", "trial", "i_crit", "i_out", "success")
+    assert len(trials.rows) == 4 * 7
+    for (label, t, i_crit, i_out, ok), (p, k) in zip(
+            trials.rows, itertools.product(result.patterns, range(7))):
+        assert type(label) is str and label == p.label
+        assert type(t) is int and t == k
+        assert type(i_crit) is float and i_crit == p.observables["i_crit"][k]
+        assert type(i_out) is float and i_out == p.observables["i_out"][k]
+        assert type(ok) is bool and ok == p.success_flags[k]
 
 
 def test_run_mc_validates_trial_count():
