@@ -15,7 +15,7 @@ from .device import (MU0, OERSTED, ConfigError, DeviceParams, MagState,
                      switch_decision)
 from .gates import (Calibration, GateConfigError, GateKind, GateOp, GateTrace,
                     InseparableError, MarginReport, TruthTable,
-                    boolean_output, calibrate_gate, execute_gate, gate_energy,
+                    boolean_output, calibrate_gate, execute_gate,
                     margin_analysis, parse_gate_ops, truth_table)
 from .network import (Branch, NetworkSolution, ResistiveNetwork,
                       SingularNetworkError, solve_general)
@@ -36,7 +36,7 @@ __all__ = [
     "TruthTable", "VariationSpec", "boolean_output", "calibrate_gate",
     "channel_resistance", "check_read_disturb", "config_digest",
     "critical_sot_current", "current_histogram", "dump_device_params",
-    "emit_csv", "emit_json", "execute_gate", "gate_energy",
+    "emit_csv", "emit_json", "execute_gate",
     "load_device_params", "make_bundle", "margin_analysis",
     "mc_tables", "mtj_area",
     "mtj_resistance", "parse_gate_ops", "run_mc", "sample_cell",

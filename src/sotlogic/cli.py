@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 logic-verification failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -21,8 +23,8 @@ from .device import (ConfigError, DeviceParams, critical_sot_current,
                      dump_device_params, load_device_params)
 from .gates import (Calibration, GateConfigError, GateKind, GateOp,
                     InseparableError, calibrate_gate, execute_gate,
-                    margin_analysis, parse_gate_ops, truth_table,
-                    worst_input_density)
+                    input_columns, margin_analysis, parse_gate_ops,
+                    truth_table, worst_input_density)
 from .report import Table, config_digest, emit_csv, emit_json, make_bundle
 from .variation import RNG_STREAM, VariationSpec, mc_tables, run_mc
 
@@ -32,9 +34,11 @@ EXIT_CONFIG = 2
 
 CONFIG_ENV = "SOTLOGIC_CONFIG"
 
-_SWEEP_AXES = ("D", "t_f", "t_ox", "Ms", "Ki0", "alpha", "P", "RA", "TMR0",
-               "beta", "theta_SH", "H_EX", "L", "W", "T", "rho_SOT", "R_on",
-               "Ic_cal", "J_stt_crit")
+# Fan-in limit: a gate with n inputs is evaluated over all 2^n input
+# patterns, so --inputs is bounded before anything is allocated.
+MAX_INPUTS = 8
+
+_SWEEP_AXES = tuple(f.name for f in dataclasses.fields(DeviceParams))
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -124,6 +128,8 @@ def _resolve_spec(args) -> ArraySpec:
     topology = Topology.parse(args.topology)
     if args.inputs < 1:
         raise ConfigError("--inputs must be >= 1")
+    if args.inputs > MAX_INPUTS:
+        raise ConfigError(f"--inputs must be <= {MAX_INPUTS} (fan-in limit)")
     rows = max(3, args.inputs + 1)
     return ArraySpec(topology=topology, rows=rows, cols=1,
                      nominal=_resolve_params(args))
@@ -169,27 +175,16 @@ def _calibrated_setup(args, spec: ArraySpec, kind: GateKind):
 
 
 def _meta(args, spec: ArraySpec, extra=None) -> dict:
-    resolved = {
+    shared = {
         "command": args.command,
         "topology": spec.topology.value,
         "gate": args.gate,
         "inputs": args.inputs,
         "seed": args.seed,
-        "device": dump_device_params(spec.nominal),
     }
-    if extra:
-        resolved.update(extra)
-    meta = {
-        "command": args.command,
-        "topology": spec.topology.value,
-        "gate": args.gate,
-        "inputs": args.inputs,
-        "seed": args.seed,
-        "config_digest": config_digest(resolved),
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+    extra = extra or {}
+    resolved = {**shared, "device": dump_device_params(spec.nominal), **extra}
+    return {**shared, "config_digest": config_digest(resolved), **extra}
 
 
 def _emit(args, bundle, default_name: str):
@@ -198,10 +193,6 @@ def _emit(args, bundle, default_name: str):
         emit_json(bundle, path)
         return [path]
     return emit_csv(bundle, args.out, default_name)
-
-
-def _in_columns(n_inputs: int):
-    return [f"IN{j}" for j in reversed(range(n_inputs))]
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -213,7 +204,7 @@ def cmd_truth_table(args) -> int:
     table = truth_table(spec, kind, args.inputs, op=op)
 
     obs_names = sorted(table.rows[0].observables)
-    columns = _in_columns(args.inputs) + ["OUT_expected", "OUT"] + obs_names
+    columns = input_columns(args.inputs) + ["OUT_expected", "OUT"] + obs_names
     rows = []
     for r in table.rows:
         rows.append(tuple(reversed(r.bits)) + (r.expected, r.actual) +
@@ -364,6 +355,9 @@ def cmd_sweep(args) -> int:
                           f"choose one of {', '.join(_SWEEP_AXES)}")
     if args.points < 1:
         raise ConfigError("--points must be >= 1")
+    for flag, value in (("--min", args.lo), ("--max", args.hi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     spec = _resolve_spec(args)
     kind = _resolve_gate(args)
     values = np.linspace(args.lo, args.hi, args.points)
@@ -432,6 +426,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OverflowError as exc:  # finite inputs too large to compute with
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -103,6 +103,10 @@ class DeviceParams:
     J_stt_crit: float = 5e10    # STT read-disturb current density limit
 
     def __post_init__(self) -> None:
+        for name in _FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         for name in _POSITIVE_FIELDS:
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be strictly positive")
@@ -126,6 +130,9 @@ class DeviceParams:
     def default_vgsot(cls) -> "DeviceParams":
         """Reference parameter set for the voltage-gated (VGSOT) array."""
         return cls(RA=650.0)
+
+
+_FIELDS = tuple(f.name for f in dataclasses.fields(DeviceParams))
 
 
 def mtj_area(p: DeviceParams) -> float:
@@ -187,38 +194,11 @@ def critical_sot_current(p: DeviceParams, v_gate: float = 0.0,
     return i_c if barrier else 0.0
 
 
-def switch_decision(i_applied: float, i_crit: float, polarity: Polarity,
-                    width: float = 0.0,
-                    rng: "np.random.Generator | None" = None) -> bool:
+def switch_decision(i_applied, i_crit, polarity: Polarity):
     """Decide whether the applied channel current switches the free layer.
 
-    Deterministic mode (width = 0): switch iff |i_applied| >= i_crit and the
-    current direction matches the requested transition (ties switch).
-
-    Stochastic mode (width > 0): switching probability is the logistic
-    sigmoid of (|i| - i_crit) / (width * i_crit); emulates thermal spread
-    around the threshold. Requires ``rng``.
-    """
-    if i_crit < 0.0:
-        raise ValueError("i_crit must be >= 0")
-    if width <= 0.0:
-        return bool(switches(i_applied, i_crit, polarity))
-    if not switches(i_applied, 0.0, polarity):  # wrong current direction
-        return False
-    if rng is None:
-        raise ValueError("stochastic switching needs an rng")
-    if i_crit == 0.0:
-        return True
-    x = (abs(i_applied) - i_crit) / (width * i_crit)
-    prob = 1.0 / (1.0 + math.exp(-x))
-    return bool(rng.random() < prob)
-
-
-def switches(i_applied, i_crit, polarity: Polarity):
-    """Deterministic switch verdict; elementwise when given arrays.
-
     Switch iff the current direction matches the requested transition and
-    |i_applied| >= i_crit (ties switch).
+    |i_applied| >= i_crit (ties switch). Elementwise when given arrays.
     """
     direction_ok = i_applied > 0.0 if polarity is Polarity.P_TO_AP \
         else i_applied < 0.0
@@ -239,9 +219,7 @@ def check_read_disturb(p: DeviceParams, i_mtj: float) -> bool:
 # Config keys mirror the DeviceParams field names, except the exchange bias
 # which is given in oersted as H_EX_Oe and converted on load.
 
-_CONFIG_FIELDS = ("D", "t_f", "t_ox", "Ms", "Ki0", "alpha", "P", "RA", "TMR0",
-                  "beta", "theta_SH", "L", "W", "T", "rho_SOT",
-                  "R_on", "Ic_cal", "J_stt_crit")
+_CONFIG_FIELDS = tuple(name for name in _FIELDS if name != "H_EX")
 
 
 def load_device_params(source: "str | Path | Mapping",

@@ -9,6 +9,7 @@ drive polarity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +25,11 @@ V_DRIVE_2T1R = 1.1      # read bit-line drive [V]
 V_DRIVE_VGSOT = 1.5     # input write-line drive [V]
 I_SOT_DEFAULT = 60e-6   # output write current for the voltage-gated scheme [A]
 PULSE_DEFAULT = 2e-9    # operation pulse width [s]
+
+# Analog observables per topology: the network's output (channel current or
+# bit-line voltage), then the output cell's switching threshold.
+OBSERVABLES = {Topology.TWO_T_ONE_R: ("i_out", "i_crit"),
+               Topology.VGSOT: ("v_bl", "i_crit")}
 
 # Drive-voltage scan used when the default voltage-gated operating point
 # leaves no separating window (e.g. over-gated multi-input AND).
@@ -109,6 +115,10 @@ class GateOp:
             raise GateConfigError(
                 f"{self.kind.value} requires out_init="
                 f"{required_out_init(self.kind).name}")
+        for name in ("v_drive", "i_sot", "pulse"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise GateConfigError(f"{name} must be finite, got {value}")
         if self.pulse < 0.0:
             raise GateConfigError("pulse width must be >= 0")
 
@@ -156,7 +166,12 @@ class GateTrace:
     input_currents: tuple
     disturb_ok: tuple
     energy: float
-    v_bl: float | None  # bit-line voltage (voltage-gated scheme only)
+    observables: dict  # OBSERVABLES of the topology -> value
+
+    @property
+    def v_bl(self) -> float | None:
+        """Bit-line voltage (voltage-gated scheme only)."""
+        return self.observables.get("v_bl")
 
 
 def check_op_fits(spec: ArraySpec, op: GateOp) -> None:
@@ -168,8 +183,28 @@ def check_op_fits(spec: ArraySpec, op: GateOp) -> None:
         raise GateConfigError(f"column {op.col} out of bounds for {spec.cols}-col array")
 
 
-def execute_gate(array: MramArray, op: GateOp, switch_width: float = 0.0,
-                 rng=None) -> GateTrace:
+def solve_gate(topology: Topology, op: GateOp, cells_in, cell_out):
+    """Network solve, threshold and switch verdict of one gate.
+
+    Returns (solution, first observable, i_crit, switched); the first
+    observable is the output channel current (2T-1R) or the bit-line
+    voltage (VGSOT), as named by ``OBSERVABLES``. Cells whose parameters
+    hold per-trial arrays give per-trial arrays throughout.
+    """
+    if topology is Topology.TWO_T_ONE_R:
+        sol = solve_2t1r_read(cells_in, cell_out, op.v_drive)
+        first = i_drive = sol.current("out")
+        i_crit = critical_sot_current(cell_out.dev, 0.0)
+    else:
+        sol = solve_vgsot_divider(cells_in, cell_out, op.v_drive)
+        first = sol.voltage("bl")
+        i_crit = critical_sot_current(cell_out.dev, first)
+        i_drive = op.i_sot
+    switched = switch_decision(i_drive, i_crit, switch_polarity(op.kind))
+    return sol, first, i_crit, switched
+
+
+def execute_gate(array: MramArray, op: GateOp) -> GateTrace:
     """Run one stateful gate and return the full trace.
 
     The output cell is (re)initialized to ``op.out_init``, the network is
@@ -179,33 +214,24 @@ def execute_gate(array: MramArray, op: GateOp, switch_width: float = 0.0,
     MTJ current and recorded as an advisory verdict.
     """
     check_op_fits(array.spec, op)
+    topology = array.spec.topology
     arr = write_cell(array, op.output_row, op.col, op.out_init)
     cells_in = [arr.cell(r, op.col) for r in op.input_rows]
     cell_out = arr.cell(op.output_row, op.col)
 
-    if array.spec.topology is Topology.TWO_T_ONE_R:
-        sol = solve_2t1r_read(cells_in, cell_out, op.v_drive)
-        i_drive = sol.current("out")
-        i_crit = critical_sot_current(cell_out.dev, 0.0)
-        v_bl = None
-    else:
-        sol = solve_vgsot_divider(cells_in, cell_out, op.v_drive)
-        v_bl = sol.voltage("bl")
-        i_crit = critical_sot_current(cell_out.dev, v_bl)
-        i_drive = op.i_sot
-
-    switched = switch_decision(i_drive, i_crit, switch_polarity(op.kind),
-                               width=switch_width, rng=rng)
+    sol, first, i_crit, switched = solve_gate(topology, op, cells_in, cell_out)
     post = write_cell(arr, op.output_row, op.col, op.out_init.flipped) \
         if switched else arr
 
     input_currents = tuple(sol.current(f"in{k}") for k in range(len(cells_in)))
     disturb_ok = tuple(check_read_disturb(c.dev, i)
                        for c, i in zip(cells_in, input_currents))
-    energy = gate_energy_from_solution(sol, op, array.spec.topology, cell_out.dev)
+    energy = gate_energy_from_solution(sol, op, topology, cell_out.dev)
+    first_name, crit_name = OBSERVABLES[topology]
     return GateTrace(op=op, solution=sol, i_crit=i_crit, switched=switched,
                      post=post, input_currents=input_currents,
-                     disturb_ok=disturb_ok, energy=energy, v_bl=v_bl)
+                     disturb_ok=disturb_ok, energy=energy,
+                     observables={first_name: first, crit_name: i_crit})
 
 
 def gate_energy_from_solution(sol: NetworkSolution, op: GateOp,
@@ -223,13 +249,6 @@ def gate_energy_from_solution(sol: NetworkSolution, op: GateOp,
     return leak + write
 
 
-def gate_energy(trace: GateTrace, op: GateOp) -> float:
-    """Recompute the energy of a recorded trace for the given op settings."""
-    topology = trace.post.spec.topology
-    out_dev = trace.post.cell(op.output_row, op.col).dev
-    return gate_energy_from_solution(trace.solution, op, topology, out_dev)
-
-
 # --- truth tables -------------------------------------------------------------
 
 def pattern_bits(index: int, n_inputs: int) -> tuple:
@@ -240,6 +259,11 @@ def pattern_bits(index: int, n_inputs: int) -> tuple:
 def pattern_label(bits) -> str:
     """Display label, most-significant input first (e.g. (0,1) -> '10')."""
     return "".join(str(b) for b in reversed(bits))
+
+
+def input_columns(n_inputs: int) -> list:
+    """Report column names of the inputs, most-significant first."""
+    return [f"IN{j}" for j in reversed(range(n_inputs))]
 
 
 @dataclass(frozen=True)
@@ -298,12 +322,8 @@ def truth_table(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
         bits = pattern_bits(index, n_inputs)
         trace = execute_gate(_pattern_array(array_spec, op, bits), op)
         actual = trace.post.cell(op.output_row, op.col).mag.bit
-        if array_spec.topology is Topology.TWO_T_ONE_R:
-            obs = {"i_out": trace.solution.current("out"), "i_crit": trace.i_crit}
-        else:
-            obs = {"v_bl": trace.v_bl, "i_crit": trace.i_crit}
         rows.append(TruthRow(bits=bits, expected=boolean_output(kind, bits),
-                             actual=actual, observables=obs))
+                             actual=actual, observables=trace.observables))
     return TruthTable(topology=array_spec.topology, kind=kind, op=op,
                       rows=tuple(rows))
 

@@ -22,13 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import (ArraySpec, CellState, Topology, divider_resistances,
-                    divider_voltage, parallel_resistance, read_resistances,
-                    series_current)
-from .device import (DeviceParams, MagState, critical_sot_current,
-                     switches)
-from .gates import (GateOp, boolean_output, check_op_fits, pattern_bits,
-                    pattern_label, switch_polarity)
+from .array import ArraySpec, CellState, Topology
+from .device import DeviceParams, MagState
+from .gates import (OBSERVABLES, GateOp, boolean_output, check_op_fits,
+                    input_columns, pattern_bits, pattern_label, solve_gate)
 from .report import HistogramTable, Table
 
 RNG_STREAM = 2        # version of the stream layout, recorded in reports
@@ -218,9 +215,9 @@ def _run_block(array_spec: ArraySpec, op: GateOp, spec: VariationSpec,
                n: int, task: tuple):
     """Sample and execute trials [block * BLOCK, ...) of one pattern.
 
-    Mirrors :func:`.gates.execute_gate` on whole arrays: the same
-    resistances, network arithmetic, threshold law and switch verdict.
-    Returns (success flags, observables stacked as in ``run_mc``).
+    Draws the block's deviates, builds per-trial cell parameters and runs
+    them through :func:`.gates.solve_gate`, the solver of every gate.
+    Returns (success flags, observables stacked in ``OBSERVABLES`` order).
     """
     pattern_index, block = task
     rows = min(BLOCK, n - block * BLOCK)
@@ -229,20 +226,8 @@ def _run_block(array_spec: ArraySpec, op: GateOp, spec: VariationSpec,
     *devs_in, dev_out = sample_block(array_spec.nominal, spec, z)
     cells_in = [CellState(MagState.from_bit(b), dev)
                 for b, dev in zip(bits, devs_in)]
-    cell_out = CellState(op.out_init, dev_out)
-
-    if array_spec.topology is Topology.TWO_T_ONE_R:
-        r_in, r_out = read_resistances(cells_in, cell_out)
-        i_drive = series_current(parallel_resistance(r_in), r_out, op.v_drive)
-        i_crit = critical_sot_current(dev_out, 0.0)
-        first = i_drive
-    else:
-        r_in, r_out = divider_resistances(cells_in, cell_out)
-        first = divider_voltage(parallel_resistance(r_in), r_out, op.v_drive)
-        i_crit = critical_sot_current(dev_out, first)
-        i_drive = op.i_sot
-
-    switched = switches(i_drive, i_crit, switch_polarity(op.kind))
+    _, first, i_crit, switched = solve_gate(
+        array_spec.topology, op, cells_in, CellState(op.out_init, dev_out))
     out_bit = np.where(switched, op.out_init.flipped.bit, op.out_init.bit)
     # i_crit always varies (t_ox, t_f); the first observable is constant
     # when no drawn field reaches it (e.g. all-P inputs without RA spread).
@@ -268,8 +253,7 @@ def run_mc(array_spec: ArraySpec, op: GateOp, n: int, spec: VariationSpec,
     if n < 1:
         raise ValueError("need at least one trial")
     check_op_fits(array_spec, op)
-    names = ("i_out", "i_crit") if array_spec.topology is Topology.TWO_T_ONE_R \
-        else ("v_bl", "i_crit")
+    names = OBSERVABLES[array_spec.topology]
 
     n_patterns = 2 ** op.n_inputs
     n_blocks = -(-n // BLOCK)  # ceil division
@@ -356,15 +340,12 @@ def mc_tables(result: MCResult, bins: int = 32):
     observables and the verdict. Returns (summary, trials, histogram
     table, histogram report).
     """
-    n_inputs = result.op.n_inputs
-    in_cols = [f"IN{j}" for j in reversed(range(n_inputs))]
-
     summary_rows = [tuple(reversed(p.bits)) +
                     (p.expected, p.trials, p.successes, p.success_rate)
                     for p in result.patterns]
     summary = Table("summary",
-                    tuple(in_cols + ["OUT", "trials", "successes",
-                                     "success_rate"]),
+                    tuple(input_columns(result.op.n_inputs) +
+                          ["OUT", "trials", "successes", "success_rate"]),
                     tuple(summary_rows))
 
     obs_names = sorted(result.patterns[0].observables)

@@ -1,12 +1,18 @@
 """End-to-end command-line checks: exit codes, files, determinism."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sotlogic.cli import main
+from sotlogic.cli import MAX_INPUTS, main
 
 
 def read_table(path):
@@ -232,3 +238,114 @@ def test_gate_topology_mismatch(tmp_path, capsys):
     assert main(["gate", "--ops", str(ops), "--array", str(state),
                  "--topology", "2t1r", "--out", str(tmp_path / "o")]) == 2
     assert "topology" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["truth-table", "--r-on", "inf"], "R_on must be finite"),
+    (["truth-table", "--config", "{nan_config}"], "TMR0 must be finite"),
+    (["truth-table", "--ic-cal", "1", "--v-drive", "nan"],
+     "v_drive must be finite"),
+    (["truth-table", "--topology", "vgsot", "--v-drive", "nan"],
+     "v_drive must be finite"),
+    (["truth-table", "--topology", "vgsot", "--i-sot", "inf"],
+     "i_sot must be finite"),
+    (["margin", "--v-drive", "inf"], "v_drive must be finite"),
+    (["mc", "-n", "10", "--pulse", "nan"], "pulse must be finite"),
+    (["sweep", "--axis", "RA", "--min", "5", "--max", "inf"],
+     "--max must be finite"),
+    # finite, but its square overflows in the write-energy estimate
+    (["margin", "--topology", "vgsot", "--i-sot", "1e300"], "numeric overflow"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
+    config = tmp_path / "nan.json"
+    config.write_text('{"TMR0": NaN}')
+    argv = [str(config) if a == "{nan_config}" else a for a in argv]
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fan_in_above_limit_fails_fast(tmp_path, capsys):
+    start = time.perf_counter()
+    code = main(["mc", "--topology", "vgsot", "--inputs", "40", "-n", "100000",
+                 "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"<= {MAX_INPUTS}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fan_in_limit_itself_is_accepted(tmp_path):
+    out = tmp_path / "o"
+    assert main(["truth-table", "--inputs", str(MAX_INPUTS),
+                 "--out", str(out)]) == 0
+    _, rows = read_table(out / "truth_table_table.csv")
+    assert len(rows) == 2 ** MAX_INPUTS
+
+
+# --- exit-code contract over generated argv -----------------------------------------
+
+_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-9", "0.2",
+                            "0.8", "1.1", "2", "-6e-5", "6e-5", "1e300"])
+_NUMERIC_FLAGS = ("--v-drive", "--i-sot", "--pulse", "--r-on", "--ic-cal",
+                  "--margin-fraction")
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["truth-table", "mc", "margin", "calibrate",
+                                    "sweep", "gate"]))
+    argv = [command,
+            "--topology", draw(st.sampled_from(["2t1r", "vgsot"])),
+            "--gate", draw(st.sampled_from(["nor", "nand", "or", "and"])),
+            f"--inputs={draw(st.integers(0, 10))}"]
+    for flag in _NUMERIC_FLAGS:
+        if draw(st.sampled_from([False, False, True])):
+            argv.append(f"{flag}={draw(_NUMBERS)}")
+    if command == "mc":
+        argv += [f"-n={draw(st.integers(-1, 20))}",
+                 f"--bins={draw(st.integers(0, 8))}", "--workers=1"]
+        if draw(st.booleans()):
+            argv.append(f"--sigma={draw(_NUMBERS)}")
+    elif command == "sweep":
+        argv += ["--axis", draw(st.sampled_from(["RA", "TMR0", "H_EX", "R_on",
+                                                 "beta", "bogus"])),
+                 f"--min={draw(_NUMBERS)}", f"--max={draw(_NUMBERS)}",
+                 f"--points={draw(st.integers(0, 5))}"]
+    elif command == "gate":
+        argv += ["--ops", "{recipe}", f"--rows={draw(st.integers(3, 6))}"]
+    return argv
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _snapshot(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.glob("*"))}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_argv())
+def test_any_argv_keeps_the_exit_code_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        recipe = Path(tmp) / "recipe.txt"
+        recipe.write_text("nor,0,0;1,2\nor,0,1;2,3,-0.8\n")
+        argv = [str(recipe) if a == "{recipe}" else a for a in argv]
+        argv += ["--out", str(Path(tmp) / "o")]
+        first = _run_captured(argv)
+        first_files = _snapshot(Path(tmp) / "o")
+        second = _run_captured(argv)
+        assert first[0] in (0, 1, 2)
+        assert "Traceback" not in first[2]
+        assert second == first
+        assert _snapshot(Path(tmp) / "o") == first_files

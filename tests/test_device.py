@@ -153,26 +153,18 @@ def test_polarity_must_match_current_sign():
 
 def test_switches_on_arrays_matches_switch_decision():
     import numpy as np
-    from sotlogic.device import switches
     currents = np.array([-150e-6, -100e-6, -50e-6, 0.0, 50e-6, 100e-6,
                          150e-6])
     for polarity in Polarity:
         expected = [switch_decision(float(i), 100e-6, polarity)
                     for i in currents]
-        assert switches(currents, 100e-6, polarity).tolist() == expected
+        assert all(type(v) is bool for v in expected)
+        assert switch_decision(currents, 100e-6, polarity).tolist() == expected
 
 
 def test_decision_is_pure():
     args = (123e-6, 100e-6, Polarity.P_TO_AP)
     assert all(switch_decision(*args) for _ in range(10))
-
-
-def test_stochastic_mode_probability_at_threshold():
-    import numpy as np
-    rng = np.random.default_rng(0)
-    hits = sum(switch_decision(100e-6, 100e-6, Polarity.P_TO_AP,
-                               width=0.05, rng=rng) for _ in range(4000))
-    assert 0.45 < hits / 4000 < 0.55  # sigmoid(0) = 0.5
 
 
 # --- read disturb -------------------------------------------------------------------

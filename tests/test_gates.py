@@ -6,10 +6,10 @@ import pytest
 
 from sotlogic import (ArraySpec, DeviceParams, GateConfigError, GateKind,
                       GateOp, InseparableError, MagState, MramArray, Topology,
-                      calibrate_gate, execute_gate, gate_energy,
-                      margin_analysis, truth_table, write_cell)
-from sotlogic.gates import (format_gate_ops, parse_gate_ops, pattern_bits,
-                            pattern_label)
+                      calibrate_gate, execute_gate, margin_analysis,
+                      truth_table, write_cell)
+from sotlogic.gates import (format_gate_ops, gate_energy_from_solution,
+                            parse_gate_ops, pattern_bits, pattern_label)
 
 P2 = DeviceParams.default_2t1r()
 PV = DeviceParams.default_vgsot()
@@ -257,14 +257,17 @@ def test_energy_linear_in_pulse_and_nonnegative():
     spec, op = calibrated(Topology.TWO_T_ONE_R, GateKind.NOR, 2)
     arr = MramArray.uniform(spec)
     trace = execute_gate(arr, op)
-    doubled = GateOp.for_kind(op.kind, spec.topology, n_inputs=2,
-                              v_drive=op.v_drive, i_sot=op.i_sot,
-                              pulse=2 * op.pulse)
-    assert gate_energy(trace, doubled) == pytest.approx(2 * trace.energy,
-                                                        rel=1e-12)
-    zero = GateOp.for_kind(op.kind, spec.topology, n_inputs=2,
-                           v_drive=op.v_drive, i_sot=op.i_sot, pulse=0.0)
-    assert gate_energy(trace, zero) == 0.0
+    out_dev = trace.post.cell(op.output_row, op.col).dev
+
+    def energy(pulse):
+        scaled = GateOp.for_kind(op.kind, spec.topology, n_inputs=2,
+                                 v_drive=op.v_drive, i_sot=op.i_sot,
+                                 pulse=pulse)
+        return gate_energy_from_solution(trace.solution, scaled,
+                                         spec.topology, out_dev)
+
+    assert energy(2 * op.pulse) == pytest.approx(2 * trace.energy, rel=1e-12)
+    assert energy(0.0) == 0.0
     assert trace.energy >= 0.0
 
 
