@@ -17,8 +17,7 @@ from .gates import (Calibration, GateConfigError, GateKind, GateOp, GateTrace,
                     InseparableError, MarginReport, TruthTable,
                     boolean_output, calibrate_gate, execute_gate,
                     margin_analysis, parse_gate_ops, truth_table)
-from .network import (Branch, NetworkSolution, ResistiveNetwork,
-                      SingularNetworkError, solve_general)
+from .network import Branch, NetworkSolution
 from .report import (HistogramTable, ReportBundle, Table, config_digest,
                      emit_csv, emit_json, make_bundle)
 from .variation import (HistogramReport, MCResult, PatternStats,
@@ -31,8 +30,7 @@ __all__ = [
     "DeviceParams", "GateConfigError", "GateKind", "GateOp", "GateTrace",
     "HistogramReport", "HistogramTable", "InseparableError", "MCResult",
     "MU0", "MagState", "MarginReport", "MramArray", "NetworkSolution",
-    "OERSTED", "PatternStats", "Polarity", "ReportBundle",
-    "ResistiveNetwork", "SingularNetworkError", "Table", "Topology",
+    "OERSTED", "PatternStats", "Polarity", "ReportBundle", "Table", "Topology",
     "TruthTable", "VariationSpec", "boolean_output", "calibrate_gate",
     "channel_resistance", "check_read_disturb", "config_digest",
     "critical_sot_current", "current_histogram", "dump_device_params",
@@ -40,7 +38,7 @@ __all__ = [
     "load_device_params", "make_bundle", "margin_analysis",
     "mc_tables", "mtj_area",
     "mtj_resistance", "parse_gate_ops", "run_mc", "sample_cell",
-    "solve_2t1r_read", "solve_general", "solve_vgsot_divider",
+    "solve_2t1r_read", "solve_vgsot_divider",
     "switch_decision", "trial_rng", "truth_table", "write_cell",
     "__version__",
 ]

@@ -9,10 +9,9 @@ Two array organizations are supported:
   voltage to the input rows so the floating bit-line settles to a divider
   voltage that gates the output cell's switching threshold.
 
-The per-topology solvers here are hand-derived series/parallel forms; they
-double as one route of a dual-route check against the general nodal solver
-in :mod:`.network`. Unselected cells are treated as disconnected (access
-transistors fully off).
+The per-topology solvers here are hand-derived series/parallel forms; the
+tests cross-check them against a general nodal solver. Unselected cells
+are treated as disconnected (access transistors fully off).
 """
 
 from __future__ import annotations

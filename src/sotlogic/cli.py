@@ -135,10 +135,6 @@ def _resolve_spec(args) -> ArraySpec:
                      nominal=_resolve_params(args))
 
 
-def _resolve_gate(args) -> GateKind:
-    return GateKind.parse(args.gate)
-
-
 def _op_overrides(args) -> dict:
     out = {}
     if args.v_drive is not None:
@@ -199,7 +195,7 @@ def _emit(args, bundle, default_name: str):
 
 def cmd_truth_table(args) -> int:
     spec = _resolve_spec(args)
-    kind = _resolve_gate(args)
+    kind = GateKind.parse(args.gate)
     spec, op, cal = _calibrated_setup(args, spec, kind)
     table = truth_table(spec, kind, args.inputs, op=op)
 
@@ -282,7 +278,7 @@ def _variation_from_args(args) -> VariationSpec:
 def cmd_mc(args) -> int:
     vspec = _variation_from_args(args)
     spec = _resolve_spec(args)
-    kind = _resolve_gate(args)
+    kind = GateKind.parse(args.gate)
     spec, op, cal = _calibrated_setup(args, spec, kind)
     result = run_mc(spec, op, args.trials, vspec, n_workers=args.workers)
 
@@ -304,7 +300,7 @@ def cmd_mc(args) -> int:
 
 def cmd_margin(args) -> int:
     spec = _resolve_spec(args)
-    kind = _resolve_gate(args)
+    kind = GateKind.parse(args.gate)
     overrides = _op_overrides(args)
     op = GateOp.for_kind(kind, spec.topology, n_inputs=args.inputs, **overrides)
     report = margin_analysis(spec, kind, args.inputs, op=op)
@@ -329,7 +325,7 @@ def cmd_margin(args) -> int:
 
 def cmd_calibrate(args) -> int:
     spec = _resolve_spec(args)
-    kind = _resolve_gate(args)
+    kind = GateKind.parse(args.gate)
     cal = calibrate_gate(spec, kind, args.inputs,
                          margin_fraction=args.margin_fraction,
                          v_drive=args.v_drive)
@@ -359,7 +355,9 @@ def cmd_sweep(args) -> int:
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
     spec = _resolve_spec(args)
-    kind = _resolve_gate(args)
+    kind = GateKind.parse(args.gate)
+    op = GateOp.for_kind(kind, spec.topology, n_inputs=args.inputs,
+                         **_op_overrides(args))
     values = np.linspace(args.lo, args.hi, args.points)
 
     rows = []
@@ -368,19 +366,15 @@ def cmd_sweep(args) -> int:
         params = spec.nominal.replace(**{args.axis: float(value)})
         point_spec = ArraySpec(topology=spec.topology, rows=spec.rows,
                                cols=spec.cols, nominal=params)
-        op = GateOp.for_kind(kind, spec.topology, n_inputs=args.inputs,
-                             **_op_overrides(args))
         report = margin_analysis(point_spec, kind, args.inputs, op=op)
         density = worst_input_density(report, params)
         disturb_ok = density < params.J_stt_crit
+        i_dev = critical_sot_current(params, 0.0)
+        feasible = report.margin > 0.0
         if spec.topology is Topology.TWO_T_ONE_R:
             # Feasible when the weakest must-switch current still exceeds
             # the device threshold at the configured calibration.
-            i_dev = critical_sot_current(params, 0.0)
-            feasible = report.margin > 0.0 and report.hi >= i_dev
-        else:
-            i_dev = critical_sot_current(params, 0.0)
-            feasible = report.margin > 0.0
+            feasible = feasible and report.hi >= i_dev
         feasibility.append(feasible)
         rows.append((float(value), report.lo, report.hi, report.margin,
                      report.relative_margin, i_dev, density, disturb_ok,

@@ -170,7 +170,8 @@ def critical_sot_current(p: DeviceParams, v_gate: float = 0.0,
         I_c      = Ic_cal * J_c * W * T
 
     Clamped to 0 once the effective barrier vanishes (K_eff <= 0), so the
-    result is monotonically nonincreasing in v_gate for beta > 0.
+    result is monotonically nonincreasing in v_gate for beta > 0. A
+    non-finite result (an overflowed intermediate) is never clamped.
 
     ``include_exchange`` subtracts the in-plane exchange-field term
     mu0 |H_EX| / sqrt(2) from the anisotropy field term (off by default;
@@ -190,8 +191,8 @@ def critical_sot_current(p: DeviceParams, v_gate: float = 0.0,
     j_c = (2.0 * Q_E / HBAR) * (p.Ms * p.t_f / p.theta_SH) * field_term
     i_c = p.Ic_cal * j_c * p.W * p.T
     if isinstance(barrier, np.ndarray):
-        return np.where(barrier, i_c, 0.0)
-    return i_c if barrier else 0.0
+        return np.where(barrier | ~np.isfinite(i_c), i_c, 0.0)
+    return i_c if barrier or not math.isfinite(i_c) else 0.0
 
 
 def switch_decision(i_applied, i_crit, polarity: Polarity):

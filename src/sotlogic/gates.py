@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .array import (ArraySpec, MramArray, Topology, solve_2t1r_read,
-                    solve_vgsot_divider, write_cell)
+import numpy as np
+
+from .array import (ArraySpec, CellState, MramArray, Topology,
+                    solve_2t1r_read, solve_vgsot_divider, write_cell)
 from .device import (MagState, Polarity, channel_resistance,
                      check_read_disturb, critical_sot_current, mtj_area,
                      switch_decision)
@@ -166,12 +168,7 @@ class GateTrace:
     input_currents: tuple
     disturb_ok: tuple
     energy: float
-    observables: dict  # OBSERVABLES of the topology -> value
-
-    @property
-    def v_bl(self) -> float | None:
-        """Bit-line voltage (voltage-gated scheme only)."""
-        return self.observables.get("v_bl")
+    v_bl: float | None  # bit-line voltage (voltage-gated scheme only)
 
 
 def check_op_fits(spec: ArraySpec, op: GateOp) -> None:
@@ -189,7 +186,9 @@ def solve_gate(topology: Topology, op: GateOp, cells_in, cell_out):
     Returns (solution, first observable, i_crit, switched); the first
     observable is the output channel current (2T-1R) or the bit-line
     voltage (VGSOT), as named by ``OBSERVABLES``. Cells whose parameters
-    hold per-trial arrays give per-trial arrays throughout.
+    hold per-trial arrays give per-trial arrays throughout. Raises
+    OverflowError when finite inputs give a non-finite observable or
+    threshold.
     """
     if topology is Topology.TWO_T_ONE_R:
         sol = solve_2t1r_read(cells_in, cell_out, op.v_drive)
@@ -200,8 +199,29 @@ def solve_gate(topology: Topology, op: GateOp, cells_in, cell_out):
         first = sol.voltage("bl")
         i_crit = critical_sot_current(cell_out.dev, first)
         i_drive = op.i_sot
+    if not (_finite(first) and _finite(i_crit)):
+        raise OverflowError(f"{OBSERVABLES[topology][0]} or i_crit is not "
+                            "finite; an input is too large to compute with")
     switched = switch_decision(i_drive, i_crit, switch_polarity(op.kind))
     return sol, first, i_crit, switched
+
+
+def _finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return bool(np.isfinite(value).all())
+
+
+def solve_pattern(topology: Topology, op: GateOp, bits, devs_in, dev_out):
+    """:func:`solve_gate` for one input pattern.
+
+    Input j holds ``bits[j]`` with parameters ``devs_in[j]`` (nominal
+    DeviceParams or per-trial arrays); the output holds ``op.out_init``
+    with ``dev_out`` and then reads ``op.out_init.bit ^ switched``.
+    """
+    cells_in = [CellState(MagState.from_bit(b), dev)
+                for b, dev in zip(bits, devs_in)]
+    return solve_gate(topology, op, cells_in, CellState(op.out_init, dev_out))
 
 
 def execute_gate(array: MramArray, op: GateOp) -> GateTrace:
@@ -227,11 +247,10 @@ def execute_gate(array: MramArray, op: GateOp) -> GateTrace:
     disturb_ok = tuple(check_read_disturb(c.dev, i)
                        for c, i in zip(cells_in, input_currents))
     energy = gate_energy_from_solution(sol, op, topology, cell_out.dev)
-    first_name, crit_name = OBSERVABLES[topology]
     return GateTrace(op=op, solution=sol, i_crit=i_crit, switched=switched,
                      post=post, input_currents=input_currents,
                      disturb_ok=disturb_ok, energy=energy,
-                     observables={first_name: first, crit_name: i_crit})
+                     v_bl=first if topology is Topology.VGSOT else None)
 
 
 def gate_energy_from_solution(sol: NetworkSolution, op: GateOp,
@@ -290,42 +309,43 @@ class TruthTable:
         return all(r.actual == r.expected for r in self.rows)
 
 
-def _default_op(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
-                op: GateOp | None) -> GateOp:
+def _nominal_patterns(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
+                      op: GateOp | None):
+    """Check the op and solve all 2^n input patterns at nominal parameters.
+
+    Returns the op (the topology's default one when ``op`` is None) and a
+    list of (bits, :func:`solve_pattern` result) in pattern-index order.
+    """
     if op is None:
         op = GateOp.for_kind(kind, array_spec.topology, n_inputs=n_inputs)
     if op.kind is not kind or op.n_inputs != n_inputs:
         raise GateConfigError("op disagrees with the requested kind/input count")
-    if array_spec.rows <= max(op.input_rows + (op.output_row,)):
-        raise GateConfigError("array too small for the gate's row addresses")
-    return op
-
-
-def _pattern_array(array_spec: ArraySpec, op: GateOp, bits) -> MramArray:
-    arr = MramArray.uniform(array_spec)
-    for row, b in zip(op.input_rows, bits):
-        arr = write_cell(arr, row, op.col, MagState.from_bit(b))
-    return arr
+    check_op_fits(array_spec, op)
+    nominal = array_spec.nominal
+    devs_in = (nominal,) * n_inputs
+    patterns = [pattern_bits(index, n_inputs) for index in range(2 ** n_inputs)]
+    return op, [(bits, solve_pattern(array_spec.topology, op, bits, devs_in,
+                                     nominal))
+                for bits in patterns]
 
 
 def truth_table(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
                 op: GateOp | None = None) -> TruthTable:
-    """Execute the gate at nominal parameters over all 2^n input patterns.
+    """Evaluate the gate at nominal parameters over all 2^n input patterns.
 
     Observables per pattern: output channel current and threshold for the
     read-current scheme; bit-line voltage and effective threshold for the
     voltage-gated scheme.
     """
-    op = _default_op(array_spec, kind, n_inputs, op)
-    rows = []
-    for index in range(2 ** n_inputs):
-        bits = pattern_bits(index, n_inputs)
-        trace = execute_gate(_pattern_array(array_spec, op, bits), op)
-        actual = trace.post.cell(op.output_row, op.col).mag.bit
-        rows.append(TruthRow(bits=bits, expected=boolean_output(kind, bits),
-                             actual=actual, observables=trace.observables))
+    op, solved = _nominal_patterns(array_spec, kind, n_inputs, op)
+    first_name, crit_name = OBSERVABLES[array_spec.topology]
+    rows = tuple(
+        TruthRow(bits=bits, expected=boolean_output(kind, bits),
+                 actual=op.out_init.bit ^ switched,
+                 observables={first_name: first, crit_name: i_crit})
+        for bits, (_, first, i_crit, switched) in solved)
     return TruthTable(topology=array_spec.topology, kind=kind, op=op,
-                      rows=tuple(rows))
+                      rows=rows)
 
 
 # --- margins and calibration ---------------------------------------------------
@@ -374,42 +394,27 @@ class MarginReport:
         return self.margin / self.midpoint if self.midpoint > 0.0 else 0.0
 
 
-def _pattern_points(array_spec: ArraySpec, op: GateOp) -> list:
-    out_bit = op.out_init.bit
-    points = []
-    for index in range(2 ** op.n_inputs):
-        bits = pattern_bits(index, op.n_inputs)
-        trace = execute_gate(_pattern_array(array_spec, op, bits), op)
-        must_switch = boolean_output(op.kind, bits) != out_bit
-        if array_spec.topology is Topology.TWO_T_ONE_R:
-            metric = abs(trace.solution.current("out"))
-        else:
-            metric = trace.i_crit
-        points.append(PatternPoint(
-            bits=bits, must_switch=must_switch, metric=metric, v_bl=trace.v_bl,
-            max_input_current=max(abs(i) for i in trace.input_currents)))
-    return points
-
-
-def _window(points, topology: Topology):
-    switch = [p.metric for p in points if p.must_switch]
-    hold = [p.metric for p in points if not p.must_switch]
-    if not switch or not hold:
-        raise GateConfigError("gate has no must-switch or no must-hold pattern")
-    if topology is Topology.TWO_T_ONE_R:
-        return max(hold), min(switch)
-    return max(switch), min(hold)
-
-
 def margin_analysis(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
                     op: GateOp | None = None) -> MarginReport:
     """Compute the separating window and per-pattern analog observables."""
-    op = _default_op(array_spec, kind, n_inputs, op)
-    points = _pattern_points(array_spec, op)
-    lo, hi = _window(points, array_spec.topology)
+    op, solved = _nominal_patterns(array_spec, kind, n_inputs, op)
+    read_current = array_spec.topology is Topology.TWO_T_ONE_R
+    out_bit = op.out_init.bit
+    points = tuple(
+        PatternPoint(bits=bits,
+                     must_switch=boolean_output(kind, bits) != out_bit,
+                     metric=abs(first) if read_current else i_crit,
+                     v_bl=None if read_current else first,
+                     max_input_current=max(abs(sol.current(f"in{k}"))
+                                           for k in range(n_inputs)))
+        for bits, (sol, first, i_crit, _) in solved)
+    switch = [p.metric for p in points if p.must_switch]
+    hold = [p.metric for p in points if not p.must_switch]
+    lo, hi = (max(hold), min(switch)) if read_current \
+        else (max(switch), min(hold))
     return MarginReport(topology=array_spec.topology, kind=kind,
                         n_inputs=n_inputs, v_drive=op.v_drive,
-                        lo=lo, hi=hi, points=tuple(points))
+                        lo=lo, hi=hi, points=points)
 
 
 @dataclass(frozen=True)
@@ -467,8 +472,8 @@ def calibrate_gate(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
                               v_drive=v_drive)
 
     if array_spec.topology is Topology.TWO_T_ONE_R:
-        points = _pattern_points(array_spec, base_op)
-        lo, hi = _window(points, array_spec.topology)
+        report = margin_analysis(array_spec, kind, n_inputs, op=base_op)
+        lo, hi = report.lo, report.hi
         if hi <= lo:
             raise InseparableError(
                 f"{kind.value} with {n_inputs} inputs: no switching threshold "
@@ -482,19 +487,17 @@ def calibrate_gate(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
                            ic_cal=target / base_ic, i_sot=base_op.i_sot,
                            v_drive=base_op.v_drive)
 
-    best = None  # (gap, v_drive, lo, hi)
+    best = None
     for scale in _V_SCAN_SCALES:
-        v = base_op.v_drive * scale
         op = GateOp.for_kind(kind, array_spec.topology, n_inputs=n_inputs,
-                             v_drive=v)
-        lo, hi = _window(_pattern_points(array_spec, op), array_spec.topology)
-        gap = hi - lo
-        if best is None or gap > best[0]:
-            best = (gap, v, lo, hi)
-        if scale == 1.0 and gap > 0.0:
+                             v_drive=base_op.v_drive * scale)
+        report = margin_analysis(array_spec, kind, n_inputs, op=op)
+        if best is None or report.margin > best.margin:
+            best = report
+        if scale == 1.0 and report.margin > 0.0:
             break  # the default drive already separates; keep it
-    gap, v, lo, hi = best
-    if gap <= 0.0:
+    lo, hi = best.lo, best.hi
+    if best.margin <= 0.0:
         raise InseparableError(
             f"{kind.value} with {n_inputs} inputs: no write current separates "
             f"the input cases at any scanned drive voltage (best window "
@@ -504,7 +507,7 @@ def calibrate_gate(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
                        n_inputs=n_inputs, margin_fraction=margin_fraction,
                        lo=lo, hi=hi, operating_point=magnitude,
                        ic_cal=None, i_sot=_drive_sign(kind) * magnitude,
-                       v_drive=v)
+                       v_drive=best.v_drive)
 
 
 # --- disturb summary ------------------------------------------------------------

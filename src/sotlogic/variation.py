@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArraySpec, CellState, Topology
-from .device import DeviceParams, MagState
+from .array import ArraySpec, Topology
+from .device import DeviceParams
 from .gates import (OBSERVABLES, GateOp, boolean_output, check_op_fits,
-                    input_columns, pattern_bits, pattern_label, solve_gate)
+                    input_columns, pattern_bits, pattern_label, solve_pattern)
 from .report import HistogramTable, Table
 
 RNG_STREAM = 2        # version of the stream layout, recorded in reports
@@ -215,8 +215,8 @@ def _run_block(array_spec: ArraySpec, op: GateOp, spec: VariationSpec,
                n: int, task: tuple):
     """Sample and execute trials [block * BLOCK, ...) of one pattern.
 
-    Draws the block's deviates, builds per-trial cell parameters and runs
-    them through :func:`.gates.solve_gate`, the solver of every gate.
+    Draws the block's deviates and runs the per-trial cell parameters
+    through :func:`.gates.solve_pattern`, the solver of every gate.
     Returns (success flags, observables stacked in ``OBSERVABLES`` order).
     """
     pattern_index, block = task
@@ -224,15 +224,16 @@ def _run_block(array_spec: ArraySpec, op: GateOp, spec: VariationSpec,
     bits = pattern_bits(pattern_index, op.n_inputs)
     z = block_deviates(spec, pattern_index, block, rows, op.n_inputs + 1)
     *devs_in, dev_out = sample_block(array_spec.nominal, spec, z)
-    cells_in = [CellState(MagState.from_bit(b), dev)
-                for b, dev in zip(bits, devs_in)]
-    _, first, i_crit, switched = solve_gate(
-        array_spec.topology, op, cells_in, CellState(op.out_init, dev_out))
-    out_bit = np.where(switched, op.out_init.flipped.bit, op.out_init.bit)
+    # solve_gate reports a non-finite result as OverflowError; numpy's
+    # warning on the way there would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, first, i_crit, switched = solve_pattern(
+            array_spec.topology, op, bits, devs_in, dev_out)
     # i_crit always varies (t_ox, t_f); the first observable is constant
     # when no drawn field reaches it (e.g. all-P inputs without RA spread).
     observables = np.stack([np.broadcast_to(first, i_crit.shape), i_crit])
-    return out_bit == boolean_output(op.kind, bits), observables
+    success = (op.out_init.bit ^ switched) == boolean_output(op.kind, bits)
+    return success, observables
 
 
 def _pool_size(requested: int, n_tasks: int) -> int:

@@ -11,13 +11,15 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from sotlogic import (ArraySpec, DeviceParams, GateKind, MagState, MramArray,
-                      ResistiveNetwork, Topology, VariationSpec,
+                      Topology, VariationSpec,
                       calibrate_gate, current_histogram, execute_gate,
                       margin_analysis, run_mc, sample_cell, solve_2t1r_read,
-                      solve_general, solve_vgsot_divider, trial_rng,
+                      solve_vgsot_divider, trial_rng,
                       truth_table, write_cell)
 from sotlogic.array import CellState
 from sotlogic.cli import main as cli_main
+
+from nodal_oracle import ResistiveNetwork, solve_general
 
 P2 = DeviceParams.default_2t1r()
 PV = DeviceParams.default_vgsot()

@@ -10,8 +10,10 @@ import math
 import pytest
 
 from sotlogic import (ArraySpec, CellState, DeviceParams, MagState, MramArray,
-                      ResistiveNetwork, Topology, solve_2t1r_read,
-                      solve_general, solve_vgsot_divider, write_cell)
+                      Topology, solve_2t1r_read, solve_vgsot_divider,
+                      write_cell)
+
+from nodal_oracle import ResistiveNetwork, solve_general
 
 P_IDEAL = DeviceParams.default_2t1r().replace(R_on=0.0)  # ideal access
 PV = DeviceParams.default_vgsot()

@@ -6,6 +6,7 @@ import io
 import json
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -253,14 +254,28 @@ def test_gate_topology_mismatch(tmp_path, capsys):
     (["mc", "-n", "10", "--pulse", "nan"], "pulse must be finite"),
     (["sweep", "--axis", "RA", "--min", "5", "--max", "inf"],
      "--max must be finite"),
-    # finite, but its square overflows in the write-energy estimate
-    (["margin", "--topology", "vgsot", "--i-sot", "1e300"], "numeric overflow"),
+    # Finite inputs too large to compute with. A recipe's i_sot is squared
+    # in the write-energy estimate.
+    (["gate", "--topology", "vgsot", "--ops", "{recipe}"], "numeric overflow"),
+    # Ic_cal overflows the threshold: per-trial arrays, then one nominal gate.
+    (["mc", "-n", "5", "--ic-cal", "1e300"], "numeric overflow"),
+    (["truth-table", "--ic-cal", "1e300"], "numeric overflow"),
+    # Ms^2 overflows the anisotropy term: in calibration, then in MC trials.
+    (["truth-table", "--topology", "vgsot", "--config", "{ms_config}"],
+     "numeric overflow"),
+    (["mc", "-n", "5", "--topology", "vgsot", "--config", "{ms_config}",
+      "--i-sot", "6e-5"], "numeric overflow"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
-    config = tmp_path / "nan.json"
-    config.write_text('{"TMR0": NaN}')
-    argv = [str(config) if a == "{nan_config}" else a for a in argv]
-    code = main(argv + ["--out", str(tmp_path / "o")])
+    files = {"{nan_config}": ("nan.json", '{"TMR0": NaN}'),
+             "{ms_config}": ("ms.json", '{"Ms": 1e200}'),
+             "{recipe}": ("recipe.txt", "nor,0,0;1,2,,1e300\n")}
+    for name, text in files.values():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / files[a][0]) if a in files else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        code = main(argv + ["--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2
     assert message in err

@@ -126,10 +126,44 @@ def test_invalid_ops_rejected():
 
 def test_out_of_bounds_addresses_rejected():
     spec = spec_for(Topology.TWO_T_ONE_R, 2)
-    op = GateOp.for_kind(GateKind.NOR, spec.topology, input_rows=(0, 7),
-                         output_row=8)
-    with pytest.raises(GateConfigError):
-        execute_gate(MramArray.uniform(spec), op)
+    row_op = GateOp.for_kind(GateKind.NOR, spec.topology, input_rows=(0, 7),
+                             output_row=8)
+    col_op = GateOp.for_kind(GateKind.NOR, spec.topology, col=1)
+    for op in (row_op, col_op):
+        with pytest.raises(GateConfigError):
+            execute_gate(MramArray.uniform(spec), op)
+        with pytest.raises(GateConfigError):
+            truth_table(spec, GateKind.NOR, 2, op=op)
+        with pytest.raises(GateConfigError):
+            margin_analysis(spec, GateKind.NOR, 2, op=op)
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("kind", list(GateKind))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pattern_walk_equals_execute_gate_on_an_array(topology, kind, n):
+    # Truth tables and margins solve each input pattern directly; an
+    # MramArray holding the pattern, run through execute_gate, is the
+    # reference.
+    spec, op = calibrated(topology, kind, n)
+    table = truth_table(spec, kind, n, op=op)
+    report = margin_analysis(spec, kind, n, op=op)
+    for row, point in zip(table.rows, report.points):
+        arr = MramArray.uniform(spec)
+        for r, b in zip(op.input_rows, row.bits):
+            arr = write_cell(arr, r, op.col, MagState.from_bit(b))
+        trace = execute_gate(arr, op)
+        out = trace.solution.current("out")
+        first = out if topology is Topology.TWO_T_ONE_R else trace.v_bl
+        first_name = "i_out" if topology is Topology.TWO_T_ONE_R else "v_bl"
+        assert row.actual == trace.post.cell(op.output_row, op.col).mag.bit
+        assert row.observables == {first_name: first, "i_crit": trace.i_crit}
+        assert point.bits == row.bits
+        assert point.metric == (abs(out) if topology is Topology.TWO_T_ONE_R
+                                else trace.i_crit)
+        assert point.v_bl == trace.v_bl
+        assert point.max_input_current == max(abs(i)
+                                              for i in trace.input_currents)
 
 
 # --- margins -----------------------------------------------------------------------

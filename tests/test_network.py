@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sotlogic import ResistiveNetwork, SingularNetworkError, solve_general
+from nodal_oracle import ResistiveNetwork, SingularNetworkError, solve_general
 
 KCL_TOL = 1e-9
 
