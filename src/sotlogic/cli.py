@@ -41,7 +41,9 @@ MAX_INPUTS = 8
 _SWEEP_AXES = tuple(f.name for f in dataclasses.fields(DeviceParams))
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, as a parent parser to copy from."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", default=None,
                         help=f"device parameter JSON (default: ${CONFIG_ENV})")
     parser.add_argument("--topology", default="2t1r", choices=["2t1r", "vgsot"])
@@ -62,6 +64,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="override threshold calibration factor (skips calibration)")
     parser.add_argument("--margin-fraction", type=float, default=0.5,
                         help="operating point position inside the separating window")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,19 +72,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sotlogic",
         description="Stateful-logic simulator for SOT-MRAM memory arrays")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_flags()]
 
-    p = sub.add_parser("truth-table", help="nominal logic verification")
-    _common_flags(p)
+    sub.add_parser("truth-table", parents=common,
+                   help="nominal logic verification")
 
-    p = sub.add_parser("gate", help="execute a gate recipe file on an array")
-    _common_flags(p)
+    p = sub.add_parser("gate", parents=common,
+                       help="execute a gate recipe file on an array")
     p.add_argument("--ops", required=True, help="gate recipe file")
     p.add_argument("--array", default=None, help="initial array state CSV")
     p.add_argument("--rows", type=int, default=4)
     p.add_argument("--cols", type=int, default=1)
 
-    p = sub.add_parser("mc", help="Monte-Carlo variation campaign")
-    _common_flags(p)
+    p = sub.add_parser("mc", parents=common,
+                       help="Monte-Carlo variation campaign")
     p.add_argument("--trials", "-n", type=int, default=1000)
     p.add_argument("--sigma", type=float, default=None,
                    help="relative sigma for t_ox, t_f and TMR at once")
@@ -93,14 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (capped at the CPU count)")
     p.add_argument("--bins", type=int, default=32)
 
-    p = sub.add_parser("margin", help="per-pattern analog margins")
-    _common_flags(p)
+    sub.add_parser("margin", parents=common, help="per-pattern analog margins")
+    sub.add_parser("calibrate", parents=common,
+                   help="suggest an operating point")
 
-    p = sub.add_parser("calibrate", help="suggest an operating point")
-    _common_flags(p)
-
-    p = sub.add_parser("sweep", help="sweep one device parameter")
-    _common_flags(p)
+    p = sub.add_parser("sweep", parents=common,
+                       help="sweep one device parameter")
     p.add_argument("--axis", required=True, help="device parameter to sweep")
     p.add_argument("--min", type=float, required=True, dest="lo")
     p.add_argument("--max", type=float, required=True, dest="hi")

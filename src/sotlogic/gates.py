@@ -17,7 +17,7 @@ import numpy as np
 
 from .array import (ArraySpec, CellState, MramArray, Topology,
                     solve_2t1r_read, solve_vgsot_divider, write_cell)
-from .device import (MagState, Polarity, channel_resistance,
+from .device import (ConfigError, MagState, Polarity, channel_resistance,
                      check_read_disturb, critical_sot_current, mtj_area,
                      switch_decision)
 from .network import NetworkSolution
@@ -481,6 +481,10 @@ def calibrate_gate(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
                 f"min switch current {hi:.4e} A); check TMR0 and drive voltage")
         target = lo + margin_fraction * (hi - lo)
         base_ic = critical_sot_current(array_spec.nominal.replace(Ic_cal=1.0), 0.0)
+        if base_ic == 0.0:
+            raise ConfigError(
+                f"Ki0={array_spec.nominal.Ki0:g} leaves no zero-bias barrier "
+                f"(K_eff <= 0), so no Ic_cal can place the threshold")
         return Calibration(topology=array_spec.topology, kind=kind,
                            n_inputs=n_inputs, margin_fraction=margin_fraction,
                            lo=lo, hi=hi, operating_point=target,

@@ -3,14 +3,18 @@
 Identical inputs serialize byte-for-byte identically: no timestamps, sorted
 metadata, fixed column order, dot decimal separator, LF line endings, and
 floats rendered with 9 significant digits in CSV (full precision in JSON so
-round-trips are lossless).
+round-trips are lossless). Table values are rendered a column at a time, by
+one rule per column chosen from the column's value types.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+from itertools import count, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .version import __version__
@@ -67,13 +71,57 @@ def _meta_lines(meta: dict):
     return [f"# {key}={meta[key]}" for key in sorted(meta)]
 
 
+def _columns(table: Table) -> list:
+    """``table.rows`` transposed; raises ValueError on a row of the wrong
+    width. Empty when the table has no rows."""
+    try:
+        columns = list(zip(*table.rows, strict=True))
+    except ValueError:
+        columns = None
+    if table.rows and (columns is None or len(columns) != len(table.columns)):
+        raise ValueError(f"table {table.name!r}: row width mismatch")
+    return columns
+
+
+def _column_type(column):
+    """The one exact type of a column's values, or None when they differ.
+
+    Exact, not ``isinstance``: ``bool`` is a subclass of ``int`` and numpy
+    scalars subclass ``float``; both take the per-value rule.
+    """
+    types = set(map(type, column))
+    return types.pop() if len(types) == 1 else None
+
+
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _csv_column(column):
+    """A column's ``%`` conversion spec and the values it converts: the
+    values themselves where the column holds one plain type, else their
+    ``render_number`` text. ``%.9g`` and ``%d`` write what ``render_number``
+    writes for a float and an int."""
+    kind = _column_type(column)
+    if kind is float:
+        return f"%.{SIGNIFICANT_DIGITS}g", column
+    if kind is int:
+        return "%d", column
+    if kind is bool:
+        return "%s", map(_BOOL_TEXT.__getitem__, column)
+    if kind is str:
+        return "%s", column
+    return "%s", map(render_number, column)
+
+
 def _table_csv(table: Table, meta: dict) -> str:
+    columns = _columns(table)
     lines = _meta_lines(meta)
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        if len(row) != len(table.columns):
-            raise ValueError(f"table {table.name!r}: row width mismatch")
-        lines.append(",".join(render_number(v) for v in row))
+    if columns:
+        specs, values = zip(*map(_csv_column, columns))
+        lines += map(",".join(specs).__mod__, zip(*values))
+    else:  # no rows, or rows of no values
+        lines += [""] * len(table.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -113,15 +161,60 @@ def emit_csv(bundle: ReportBundle, out_dir, prefix: str):
     return written
 
 
+def _json_text(value, depth: int) -> str:
+    """``value`` as the document's encoder writes it ``depth`` levels deep."""
+    return json.dumps(value, sort_keys=True, indent=2).replace(
+        "\n", "\n" + "  " * depth)
+
+
+# Nesting depth of a table's row list in the document
+# (document -> "tables" -> name -> "rows"), and of the values in a row.
+_ROWS_DEPTH = 3
+_VALUE_DEPTH = _ROWS_DEPTH + 2
+
+
+def _json_column(column):
+    """The JSON text of each value of a column, by one C-level loop where
+    the column holds a single plain type. ``float.__repr__`` spells
+    non-finite floats ``nan``/``inf`` where JSON has ``NaN``/``Infinity``,
+    so such a column is encoded value by value."""
+    kind = _column_type(column)
+    if kind is float and all(map(math.isfinite, column)):
+        return map(float.__repr__, column)
+    if kind is int:
+        return map(int.__repr__, column)
+    if kind is bool:
+        return map(_BOOL_TEXT.__getitem__, column)
+    if kind is str:
+        return map(encode_basestring_ascii, column)
+    return map(_json_text, column, repeat(_VALUE_DEPTH))
+
+
+def _rows_json(table: Table) -> str:
+    """``table.rows`` as ``json.dumps(indent=2)`` writes them in the
+    document, rendered column by column."""
+    columns = _columns(table)
+    if not columns:  # no rows, or rows of no values
+        return _json_text([list(row) for row in table.rows], _ROWS_DEPTH)
+    outer = "\n" + "  " * (_ROWS_DEPTH + 1)
+    inner = "\n" + "  " * _VALUE_DEPTH
+    rows = map(("," + inner).join, zip(*map(_json_column, columns)))
+    return ("[" + outer + "[" + inner
+            + (outer + "]," + outer + "[" + inner).join(rows)
+            + outer + "]" + "\n" + "  " * _ROWS_DEPTH + "]")
+
+
 def emit_json(bundle: ReportBundle, path) -> Path:
-    """Write the whole bundle as one hierarchical document, keys sorted."""
+    """Write the whole bundle as one hierarchical document, keys sorted.
+
+    The text is that of ``json.dumps(doc, sort_keys=True, indent=2)``. The
+    document is encoded with a placeholder string for each table's rows,
+    and each table's rows are rendered and written in place of theirs.
+    """
+    tables = {t.name: t for t in bundle.tables}
+    names = sorted(tables)
     doc = {
         "meta": dict(bundle.meta),
-        "tables": {
-            t.name: {"columns": list(t.columns),
-                     "rows": [list(r) for r in t.rows]}
-            for t in bundle.tables
-        },
         "histograms": {
             h.name: {"bin_edges": list(h.bin_edges),
                      "series": {label: list(counts)
@@ -129,9 +222,26 @@ def emit_json(bundle: ReportBundle, path) -> Path:
             for h in bundle.histograms
         },
     }
+    # Placeholders are salted anew until each occurs in the text exactly
+    # once, so no string of the bundle is taken for one.
+    for salt in count():
+        placeholders = [f"\0rows {salt}.{i}" for i in range(len(names))]
+        doc["tables"] = {
+            name: {"columns": list(tables[name].columns), "rows": placeholder}
+            for name, placeholder in zip(names, placeholders)
+        }
+        text = json.dumps(doc, sort_keys=True, indent=2)
+        tokens = [json.dumps(placeholder) for placeholder in placeholders]
+        if all(text.count(token) == 1 for token in tokens):
+            break
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    with path.open("w") as f:
+        for name, token in zip(names, tokens):
+            head, _, text = text.partition(token)
+            f.write(head)
+            f.write(_rows_json(tables[name]))
+        f.write(text + "\n")
     return path
 
 

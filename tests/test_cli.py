@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sotlogic.cli import MAX_INPUTS, main
+from sotlogic.cli import _COMMANDS, MAX_INPUTS, build_parser, main
 
 
 def read_table(path):
@@ -265,10 +265,15 @@ def test_gate_topology_mismatch(tmp_path, capsys):
      "numeric overflow"),
     (["mc", "-n", "5", "--topology", "vgsot", "--config", "{ms_config}",
       "--i-sot", "6e-5"], "numeric overflow"),
+    # A vanishing zero-bias barrier leaves 2T-1R calibration nothing to scale.
+    (["calibrate", "--config", "{ki0_config}"], "Ki0"),
+    (["truth-table", "--config", "{ki0_config}"], "zero-bias barrier"),
+    (["mc", "-n", "5", "--config", "{ki0_config}"], "zero-bias barrier"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     files = {"{nan_config}": ("nan.json", '{"TMR0": NaN}'),
              "{ms_config}": ("ms.json", '{"Ms": 1e200}'),
+             "{ki0_config}": ("ki0.json", '{"Ki0": 1e-9}'),
              "{recipe}": ("recipe.txt", "nor,0,0;1,2,,1e300\n")}
     for name, text in files.values():
         (tmp_path / name).write_text(text)
@@ -281,6 +286,39 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+# Every common flag: its default, and a value given on the command line.
+COMMON_FLAGS = {
+    "config": ("--config", None, "c.json", "c.json"),
+    "topology": ("--topology", "2t1r", "vgsot", "vgsot"),
+    "gate": ("--gate", "nor", "and", "and"),
+    "inputs": ("--inputs", 2, "3", 3),
+    "seed": ("--seed", 0, "4", 4),
+    "out": ("--out", "out", "o", "o"),
+    "format": ("--format", "csv", "json", "json"),
+    "v_drive": ("--v-drive", None, "-1.2", -1.2),
+    "i_sot": ("--i-sot", None, "5e-5", 5e-5),
+    "pulse": ("--pulse", None, "1e-9", 1e-9),
+    "r_on": ("--r-on", None, "100", 100.0),
+    "ic_cal": ("--ic-cal", None, "2", 2.0),
+    "margin_fraction": ("--margin-fraction", 0.5, "0.25", 0.25),
+}
+REQUIRED_FLAGS = {"gate": ["--ops", "r.txt"],
+                  "sweep": ["--axis", "RA", "--min", "1", "--max", "2"]}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_subcommand_takes_the_common_flags(command):
+    argv = [command] + REQUIRED_FLAGS.get(command, [])
+    defaults = build_parser().parse_args(argv)
+    assert {k: getattr(defaults, k) for k in COMMON_FLAGS} == \
+        {k: default for k, (_, default, _, _) in COMMON_FLAGS.items()}
+    for flag, _, text, _ in COMMON_FLAGS.values():
+        argv += [flag, text]
+    parsed = build_parser().parse_args(argv)
+    assert {k: getattr(parsed, k) for k in COMMON_FLAGS} == \
+        {k: value for k, (_, _, _, value) in COMMON_FLAGS.items()}
 
 
 def test_fan_in_above_limit_fails_fast(tmp_path, capsys):

@@ -1,11 +1,14 @@
-"""Nominal commands reproduce the benchmark's recorded reference outputs.
+"""Benchmark commands reproduce the benchmark's recorded reference outputs.
 
 Runs every nominal command of ``benchmarks/workloads.py`` (calibrate,
 truth-table, margin and sweep over both topologies and all gates) through
 ``cli.main`` and checks each outcome with ``benchmarks/checks.py`` against
 ``benchmarks/references.json``: the exit code and the digest of the data
 rows must match. A refactor that must keep the same output bytes is held to
-it here. Nothing under ``benchmarks/`` is written.
+it here. The ``mc`` commands of the mc_narrow (CSV) and mc_wide (JSON)
+workloads are checked the same way, which parses both report formats: the
+trials table's size, the summary's agreement with it and the success
+rates. Nothing under ``benchmarks/`` is written.
 """
 
 import contextlib
@@ -14,6 +17,8 @@ import json
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 from sotlogic import cli
 
@@ -30,11 +35,9 @@ def _load(name):
     return module
 
 
-def test_nominal_commands_match_references(tmp_path):
-    checks, workloads = _load("checks"), _load("workloads")
+def _problems(commands, tmp_path) -> list:
+    checks = _load("checks")
     refs = json.loads((BENCH / "references.json").read_text())
-    commands = workloads.nominal_commands(seed=0)
-    assert len(commands) == 104
     problems = []
     for i, command in enumerate(commands):
         out = tmp_path / f"c{i:03d}"
@@ -43,4 +46,17 @@ def test_nominal_commands_match_references(tmp_path):
             code = cli.main(list(command.argv) + ["--out", str(out)])
         problems += [(command.ref_key, p) for p in checks.check_command(
             command, code, checks.read_outputs(out), refs.get(command.ref_key))]
-    assert problems == []
+    return problems
+
+
+def test_nominal_commands_match_references(tmp_path):
+    commands = _load("workloads").nominal_commands(seed=0)
+    assert len(commands) == 104
+    assert _problems(commands, tmp_path) == []
+
+
+@pytest.mark.parametrize("workload", ["mc_narrow", "mc_wide"])
+def test_mc_commands_match_references(tmp_path, workload):
+    commands = _load("workloads").build(workload, 1).commands
+    assert all(command.mc_trials for command in commands)
+    assert _problems(commands, tmp_path) == []

@@ -1,12 +1,19 @@
 """Deterministic serialization: CSV/JSON layout, digests, round trips."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sotlogic import (HistogramTable, Table, config_digest, emit_csv,
-                      emit_json, make_bundle)
-from sotlogic.report import load_json, render_number
+import report_oracle
+from sotlogic import (ArraySpec, DeviceParams, GateKind, HistogramTable,
+                      Table, Topology, VariationSpec, calibrate_gate,
+                      config_digest, emit_csv, emit_json, make_bundle,
+                      mc_tables, run_mc)
+from sotlogic.report import _table_csv, load_json, render_number
 
 
 def sample_bundle():
@@ -86,9 +93,12 @@ def test_empty_bundle_metadata_only(tmp_path):
 
 
 def test_table_row_width_checked(tmp_path):
-    bad = make_bundle({}, tables=[Table("t", ("a", "b"), ((1,),))])
-    with pytest.raises(ValueError):
-        emit_csv(bad, tmp_path, "bad")
+    for rows in (((1,),), ((1,), (2,)), ((1, 2), (3,)), ((1, 2), (3, 4, 5))):
+        bad = make_bundle({}, tables=[Table("t", ("a", "b"), rows)])
+        with pytest.raises(ValueError, match="row width mismatch"):
+            emit_csv(bad, tmp_path, "bad")
+        with pytest.raises(ValueError, match="row width mismatch"):
+            emit_json(bad, tmp_path / "bad.json")
 
 
 def test_config_digest_stability():
@@ -103,3 +113,105 @@ def test_bundle_carries_tool_identity():
     bundle = make_bundle({})
     assert bundle.meta["tool"] == "sotlogic"
     assert "version" in bundle.meta
+
+
+# --- column-wise emitters against the row-wise oracle -------------------------
+
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e300, -1e300, 1.5, math.nan, math.inf,
+                  -math.inf)
+SPECIAL_TEXT = ("", "00", "é", "日本", '"', "\\", ",", "a,b", "\n", "\r\t",
+                "\x00", "\x1f", " ", "\U0001f600")
+
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+ints = st.one_of(st.sampled_from((0, -1, 2**70, -2**70)), st.integers())
+texts = st.one_of(st.sampled_from(SPECIAL_TEXT), st.text(max_size=6))
+np_scalars = st.one_of(floats.map(np.float64),
+                       st.integers(-2**63, 2**63 - 1).map(np.int64))
+scalars = st.one_of(floats, ints, st.booleans(), texts, np_scalars)
+# Each column draws its values from one of these.
+column_values = st.sampled_from((
+    floats,
+    st.floats(allow_nan=False, allow_infinity=False),
+    ints,
+    st.booleans(),
+    texts,
+    st.one_of(st.just(""), floats),  # margin/calibrate tables: "" beside floats
+    np_scalars,
+    scalars,
+))
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.sampled_from((0, 1, 2, 3, 17)))
+    n_cols = draw(st.integers(0, 5))
+    columns = [draw(st.lists(draw(column_values), min_size=n_rows,
+                             max_size=n_rows)) for _ in range(n_cols)]
+    rows = tuple(zip(*columns)) if columns else ((),) * n_rows
+    return Table(draw(st.sampled_from(("t", "trials", "b"))),
+                 tuple(f"c{k}" for k in range(n_cols)), rows)
+
+
+def _oracle_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def _json_or_error(bundle, path):
+    try:
+        return emit_json(bundle, path).read_text()
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables())
+def test_csv_matches_row_wise_oracle(table):
+    meta = {"seed": 1, "note": "x"}
+    assert _oracle_or_error(_table_csv, table, meta) == \
+        _oracle_or_error(report_oracle.table_csv, table, meta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tabs=st.lists(tables(), max_size=3))
+def test_json_matches_row_wise_oracle(tmp_path_factory, tabs):
+    hist = HistogramTable("h", (0.0, 0.5, 1.0), (("00", (3, 7)),))
+    # The label equals emit_json's first placeholder for a table's rows.
+    bundle = make_bundle({"seed": 1, "label": "\x00rows 0.0"}, tables=tabs,
+                         histograms=[hist])
+    path = tmp_path_factory.mktemp("json") / "r.json"
+    assert _json_or_error(bundle, path) == \
+        _oracle_or_error(report_oracle.json_text, bundle)
+
+
+def test_non_finite_floats_spelled_as_json_does(tmp_path):
+    table = Table("t", ("x",), ((1.5,), (math.nan,), (math.inf,), (-math.inf,)))
+    text = emit_json(make_bundle({}, tables=[table]), tmp_path / "r.json") \
+        .read_text()
+    assert "NaN" in text and "-Infinity" in text and "nan" not in text
+    assert text == report_oracle.json_text(make_bundle({}, tables=[table]))
+
+
+def _mc_bundle(topology, kind):
+    params = DeviceParams.default_2t1r() if topology is Topology.TWO_T_ONE_R \
+        else DeviceParams.default_vgsot()
+    spec = ArraySpec(topology, 3, 1, params)
+    spec, op = calibrate_gate(spec, kind, 2).apply(spec)
+    result = run_mc(spec, op, 300, VariationSpec(seed=5))
+    summary, trials, histogram, hist = mc_tables(result)
+    return make_bundle({"command": "mc", "overlap": hist.overlap_fraction},
+                       tables=[summary, trials], histograms=[histogram])
+
+
+@pytest.mark.parametrize("topology, kind", [(Topology.TWO_T_ONE_R, GateKind.NOR),
+                                            (Topology.VGSOT, GateKind.OR)])
+def test_mc_reports_equal_row_wise_oracle(tmp_path, topology, kind):
+    bundle = _mc_bundle(topology, kind)
+    emit_csv(bundle, tmp_path, "mc")
+    for table in bundle.tables:
+        assert (tmp_path / f"mc_{table.name}.csv").read_text() == \
+            report_oracle.table_csv(table, bundle.meta)
+    assert emit_json(bundle, tmp_path / "mc.json").read_text() == \
+        report_oracle.json_text(bundle)
