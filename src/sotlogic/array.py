@@ -53,7 +53,8 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class CellState:
-    """Magnetization plus the (possibly variation-sampled) device parameters."""
+    """Magnetization (a MagState, or an array of bits: 1 = P) plus the
+    (possibly variation-sampled) device parameters."""
 
     mag: MagState
     dev: DeviceParams
@@ -88,15 +89,11 @@ class MramArray:
         new_cells = self.cells[:row] + (new_row,) + self.cells[row + 1:]
         return MramArray(spec=self.spec, cells=new_cells)
 
-    def logic_grid(self) -> list:
-        """Row-major grid of logic values (P = 1, AP = 0)."""
-        return [[c.mag.bit for c in row] for row in self.cells]
-
     def to_csv(self) -> str:
         """Serialize the logic state; device parameters are not serialized."""
         lines = ["rows,cols,topology",
                  f"{self.spec.rows},{self.spec.cols},{self.spec.topology.value}"]
-        lines += [",".join(str(c.mag.bit) for c in row) for row in self.cells]
+        lines += [",".join(str(int(c.mag)) for c in row) for row in self.cells]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -133,9 +130,9 @@ def write_cell(array: MramArray, row: int, col: int, state: MagState) -> MramArr
 
 # --- closed-form gate networks ----------------------------------------------
 #
-# Cell parameters may hold numpy arrays (one entry per Monte-Carlo trial);
-# every quantity below is then computed elementwise, so nominal gates and
-# Monte-Carlo blocks share this one copy of the series/parallel arithmetic.
+# Cell states, cell parameters and the drive may hold numpy arrays (input
+# patterns, trials, sweep points, drive-scan steps), computed elementwise:
+# every gate evaluation shares this one copy of the arithmetic.
 
 def solve_2t1r_read(cells_in, cell_out: CellState, v_rbl: float) -> NetworkSolution:
     """Read-current network: inputs drive the output cell's SOT channel.

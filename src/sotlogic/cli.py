@@ -23,10 +23,11 @@ from .device import (ConfigError, DeviceParams, critical_sot_current,
                      dump_device_params, load_device_params)
 from .gates import (Calibration, GateConfigError, GateKind, GateOp,
                     InseparableError, calibrate_gate, execute_gate,
-                    input_columns, margin_analysis, parse_gate_ops,
-                    truth_table, worst_input_density)
+                    input_columns, margin_analysis, margin_sweep,
+                    parse_gate_ops, truth_table, worst_input_density)
 from .report import Table, config_digest, emit_csv, emit_json, make_bundle
-from .variation import RNG_STREAM, VariationSpec, mc_tables, run_mc
+from .variation import (BLOCK, RNG_STREAM, CellArrays, VariationSpec,
+                        mc_tables, run_mc)
 
 EXIT_OK = 0
 EXIT_LOGIC = 1
@@ -250,7 +251,7 @@ def cmd_gate(args) -> int:
         rows.append((idx, op.kind.value, op.col,
                      ";".join(str(r) for r in op.input_rows), op.output_row,
                      trace.switched,
-                     array.cell(op.output_row, op.col).mag.bit,
+                     int(array.cell(op.output_row, op.col).mag),
                      trace.energy, all(trace.disturb_ok)))
 
     out_dir = Path(args.out)
@@ -360,42 +361,39 @@ def cmd_sweep(args) -> int:
     kind = GateKind.parse(args.gate)
     op = GateOp.for_kind(kind, spec.topology, n_inputs=args.inputs,
                          **_op_overrides(args))
-    values = np.linspace(args.lo, args.hi, args.points)
+    values = np.linspace(args.lo, args.hi, args.points).tolist()
 
     rows = []
-    feasibility = []
-    for value in values:
-        params = spec.nominal.replace(**{args.axis: float(value)})
-        point_spec = ArraySpec(topology=spec.topology, rows=spec.rows,
-                               cols=spec.cols, nominal=params)
-        report = margin_analysis(point_spec, kind, args.inputs, op=op)
-        density = worst_input_density(report, params)
-        disturb_ok = density < params.J_stt_crit
-        i_dev = critical_sot_current(params, 0.0)
-        feasible = report.margin > 0.0
-        if spec.topology is Topology.TWO_T_ONE_R:
-            # Feasible when the weakest must-switch current still exceeds
-            # the device threshold at the configured calibration.
-            feasible = feasible and report.hi >= i_dev
-        feasibility.append(feasible)
-        rows.append((float(value), report.lo, report.hi, report.margin,
-                     report.relative_margin, i_dev, density, disturb_ok,
-                     feasible))
-
-    boundary = ""
-    for k in range(1, len(feasibility)):
-        if feasibility[k] != feasibility[k - 1]:
-            boundary = f"{float(values[k - 1]):g}..{float(values[k]):g}"
-            break
+    step = max(1, BLOCK >> args.inputs)  # points x patterns <= BLOCK
+    for start in range(0, len(values), step):
+        chunk = values[start:start + step]
+        # DeviceParams checks each value before its points are solved.
+        points = [spec.nominal.replace(**{args.axis: value}) for value in chunk]
+        column = CellArrays(spec.nominal, **{args.axis: np.array(chunk)[:, None]})
+        reports = margin_sweep(spec, kind, args.inputs, op, column, len(chunk))
+        for value, params, report in zip(chunk, points, reports):
+            density = worst_input_density(report, params)
+            disturb_ok = density < params.J_stt_crit
+            i_dev = critical_sot_current(params, 0.0)
+            feasible = report.margin > 0.0
+            if spec.topology is Topology.TWO_T_ONE_R:
+                # Feasible when the weakest must-switch current still
+                # exceeds the device threshold at the configured calibration.
+                feasible = feasible and report.hi >= i_dev
+            rows.append((value, report.lo, report.hi, report.margin,
+                         report.relative_margin, i_dev, density, disturb_ok,
+                         feasible))
+    boundary = next((f"{a[0]:g}..{b[0]:g}" for a, b in zip(rows, rows[1:])
+                     if a[-1] != b[-1]), "none")
     columns = (args.axis, "lo", "hi", "margin", "relative_margin",
                "i_crit_device", "worst_input_density", "disturb_ok", "feasible")
     bundle = make_bundle(_meta(args, spec, {"axis": args.axis,
-                                            "boundary": boundary or "none"}),
+                                            "boundary": boundary}),
                          tables=[Table("sweep", columns, tuple(rows))])
     paths = _emit(args, bundle, "sweep")
     print(f"sweep {args.axis} in [{args.lo}, {args.hi}] x{args.points} "
-          f"[{spec.topology.value} {kind.value}]: boundary="
-          f"{boundary or 'none'} -> {paths[0]}")
+          f"[{spec.topology.value} {kind.value}]: boundary={boundary} "
+          f"-> {paths[0]}")
     return EXIT_OK
 
 

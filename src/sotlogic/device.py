@@ -13,7 +13,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Mapping
 
@@ -30,27 +30,19 @@ class ConfigError(ValueError):
     """Raised for invalid or unknown device-parameter configuration."""
 
 
-class MagState(Enum):
+class MagState(IntEnum):
     """Free-layer magnetization relative to the fixed layer.
 
-    P (parallel, low resistance) maps to logic '1'; AP (anti-parallel,
-    high resistance) maps to logic '0'. The mapping is fixed throughout.
+    P (parallel, low resistance) is logic '1' and AP (anti-parallel, high
+    resistance) logic '0', fixed throughout: a state is its bit.
     """
 
     AP = 0
     P = 1
 
-    @property
-    def bit(self) -> int:
-        return self.value
-
     @classmethod
     def from_bit(cls, bit: int) -> "MagState":
         return cls.P if bit else cls.AP
-
-    @property
-    def flipped(self) -> "MagState":
-        return MagState.AP if self is MagState.P else MagState.P
 
 
 class Polarity(Enum):
@@ -77,9 +69,7 @@ class DeviceParams:
     ``default_vgsot`` gives the high-RA variant.
 
     Note: ``alpha``, ``P`` and ``H_EX`` are stored for completeness but are
-    inert under the default threshold law; H_EX enters only when the
-    optional exchange-field correction in :func:`critical_sot_current`
-    is enabled.
+    inert under the threshold law.
     """
 
     D: float = 50e-9            # MTJ diameter
@@ -143,13 +133,12 @@ def mtj_area(p: DeviceParams) -> float:
 def mtj_resistance(p: DeviceParams, state: MagState) -> float:
     """MTJ resistance in ohms for the given magnetization state.
 
-    R_P = RA / A_MTJ, R_AP = R_P * (1 + TMR0); TMR has no bias roll-off.
-    Array-valued fields of ``p`` give an array of resistances.
+    R_P = RA / A_MTJ (exactly, as R_P * (1 + 0.0)), R_AP = R_P * (1 + TMR0);
+    TMR has no bias roll-off. A bit array ``state`` (1 = P) or array fields
+    give an array of resistances.
     """
     r_p = p.RA * UM2 / mtj_area(p)
-    if state is MagState.P:
-        return r_p
-    return r_p * (1.0 + p.TMR0)
+    return r_p * (1.0 + p.TMR0 * (1 - state))
 
 
 def channel_resistance(p: DeviceParams) -> float:
@@ -157,8 +146,7 @@ def channel_resistance(p: DeviceParams) -> float:
     return p.rho_SOT * p.L / (p.W * p.T)
 
 
-def critical_sot_current(p: DeviceParams, v_gate: float = 0.0,
-                         include_exchange: bool = False) -> float:
+def critical_sot_current(p: DeviceParams, v_gate: float = 0.0) -> float:
     """Threshold channel current for SOT switching, in amperes.
 
     Perpendicular-macrospin damping-like threshold with VCMA assist:
@@ -173,24 +161,17 @@ def critical_sot_current(p: DeviceParams, v_gate: float = 0.0,
     result is monotonically nonincreasing in v_gate for beta > 0. A
     non-finite result (an overflowed intermediate) is never clamped.
 
-    ``include_exchange`` subtracts the in-plane exchange-field term
-    mu0 |H_EX| / sqrt(2) from the anisotropy field term (off by default;
-    direction handling is left to the polarity logic).
-
-    Fields of ``p`` and ``v_gate`` may be numpy arrays (one entry per
-    trial); the result then is an array, clamped elementwise.
+    Fields of ``p`` and ``v_gate`` may be numpy arrays; the result then is
+    an array, clamped elementwise.
     """
     ki = p.Ki0 - p.beta * v_gate / p.t_ox
     k_eff = ki / p.t_f - MU0 * p.Ms * p.Ms / 2.0
     h_k_eff = 2.0 * k_eff / (MU0 * p.Ms)
     field_term = MU0 * h_k_eff / 2.0
     barrier = k_eff > 0.0
-    if include_exchange:
-        field_term = field_term - MU0 * abs(p.H_EX) / math.sqrt(2.0)
-        barrier = barrier & (field_term > 0.0)
     j_c = (2.0 * Q_E / HBAR) * (p.Ms * p.t_f / p.theta_SH) * field_term
     i_c = p.Ic_cal * j_c * p.W * p.T
-    if isinstance(barrier, np.ndarray):
+    if isinstance(i_c, np.ndarray):
         return np.where(barrier | ~np.isfinite(i_c), i_c, 0.0)
     return i_c if barrier or not math.isfinite(i_c) else 0.0
 

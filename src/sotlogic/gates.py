@@ -180,48 +180,45 @@ def check_op_fits(spec: ArraySpec, op: GateOp) -> None:
         raise GateConfigError(f"column {op.col} out of bounds for {spec.cols}-col array")
 
 
-def solve_gate(topology: Topology, op: GateOp, cells_in, cell_out):
+def solve_gate(topology: Topology, op: GateOp, cells_in, cell_out, v_drive):
     """Network solve, threshold and switch verdict of one gate.
 
     Returns (solution, first observable, i_crit, switched); the first
     observable is the output channel current (2T-1R) or the bit-line
-    voltage (VGSOT), as named by ``OBSERVABLES``. Cells whose parameters
-    hold per-trial arrays give per-trial arrays throughout. Raises
+    voltage (VGSOT), as named by ``OBSERVABLES``. Array-valued drives,
+    cell states or cell parameters give arrays throughout. Raises
     OverflowError when finite inputs give a non-finite observable or
     threshold.
     """
-    if topology is Topology.TWO_T_ONE_R:
-        sol = solve_2t1r_read(cells_in, cell_out, op.v_drive)
-        first = i_drive = sol.current("out")
-        i_crit = critical_sot_current(cell_out.dev, 0.0)
-    else:
-        sol = solve_vgsot_divider(cells_in, cell_out, op.v_drive)
-        first = sol.voltage("bl")
-        i_crit = critical_sot_current(cell_out.dev, first)
-        i_drive = op.i_sot
-    if not (_finite(first) and _finite(i_crit)):
+    # A non-finite result raises below; numpy's warnings would repeat it.
+    with np.errstate(all="ignore"):
+        if topology is Topology.TWO_T_ONE_R:
+            sol = solve_2t1r_read(cells_in, cell_out, v_drive)
+            first = i_drive = sol.current("out")
+            i_crit = critical_sot_current(cell_out.dev, 0.0)
+        else:
+            sol = solve_vgsot_divider(cells_in, cell_out, v_drive)
+            first = sol.voltage("bl")
+            i_crit = critical_sot_current(cell_out.dev, first)
+            i_drive = op.i_sot
+    if not (np.isfinite(first).all() and np.isfinite(i_crit).all()):
         raise OverflowError(f"{OBSERVABLES[topology][0]} or i_crit is not "
                             "finite; an input is too large to compute with")
     switched = switch_decision(i_drive, i_crit, switch_polarity(op.kind))
     return sol, first, i_crit, switched
 
 
-def _finite(value) -> bool:
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return bool(np.isfinite(value).all())
+def solve_pattern(topology: Topology, op: GateOp, bits, devs_in, dev_out,
+                  v_drive):
+    """:func:`solve_gate` for input bits.
 
-
-def solve_pattern(topology: Topology, op: GateOp, bits, devs_in, dev_out):
-    """:func:`solve_gate` for one input pattern.
-
-    Input j holds ``bits[j]`` with parameters ``devs_in[j]`` (nominal
-    DeviceParams or per-trial arrays); the output holds ``op.out_init``
-    with ``dev_out`` and then reads ``op.out_init.bit ^ switched``.
+    Input j holds ``bits[j]`` (a bit or bit array) with ``devs_in[j]``
+    (DeviceParams or arrays); the output holds ``op.out_init`` with
+    ``dev_out`` and then reads ``op.out_init ^ switched``.
     """
-    cells_in = [CellState(MagState.from_bit(b), dev)
-                for b, dev in zip(bits, devs_in)]
-    return solve_gate(topology, op, cells_in, CellState(op.out_init, dev_out))
+    cells_in = [CellState(b, dev) for b, dev in zip(bits, devs_in)]
+    return solve_gate(topology, op, cells_in, CellState(op.out_init, dev_out),
+                      v_drive)
 
 
 def execute_gate(array: MramArray, op: GateOp) -> GateTrace:
@@ -239,8 +236,9 @@ def execute_gate(array: MramArray, op: GateOp) -> GateTrace:
     cells_in = [arr.cell(r, op.col) for r in op.input_rows]
     cell_out = arr.cell(op.output_row, op.col)
 
-    sol, first, i_crit, switched = solve_gate(topology, op, cells_in, cell_out)
-    post = write_cell(arr, op.output_row, op.col, op.out_init.flipped) \
+    sol, first, i_crit, switched = solve_gate(topology, op, cells_in, cell_out,
+                                              op.v_drive)
+    post = write_cell(arr, op.output_row, op.col, MagState(1 - op.out_init)) \
         if switched else arr
 
     input_currents = tuple(sol.current(f"in{k}") for k in range(len(cells_in)))
@@ -270,8 +268,9 @@ def gate_energy_from_solution(sol: NetworkSolution, op: GateOp,
 
 # --- truth tables -------------------------------------------------------------
 
-def pattern_bits(index: int, n_inputs: int) -> tuple:
-    """Bit j of the pattern index is the logic value of input j."""
+def pattern_bits(index, n_inputs: int) -> tuple:
+    """Bit j of the pattern index (or of an array of them) is the logic
+    value of input j."""
     return tuple((index >> j) & 1 for j in range(n_inputs))
 
 
@@ -309,24 +308,26 @@ class TruthTable:
         return all(r.actual == r.expected for r in self.rows)
 
 
-def _nominal_patterns(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
-                      op: GateOp | None):
-    """Check the op and solve all 2^n input patterns at nominal parameters.
+def _patterns(n_inputs: int) -> list:
+    return [pattern_bits(index, n_inputs) for index in range(2 ** n_inputs)]
 
-    Returns the op (the topology's default one when ``op`` is None) and a
-    list of (bits, :func:`solve_pattern` result) in pattern-index order.
-    """
+
+def _solve_patterns(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
+                    op: GateOp | None, dev=None, v_drive=None):
+    """Check the op (default: the topology's) and solve all 2^n input
+    patterns as one array; input j holds bit j of the pattern index, the
+    last axis. ``dev`` (default: nominal) serves every cell; columns in it
+    or in ``v_drive`` (default: the op's) add a leading axis. Returns the
+    op and the :func:`solve_pattern` result."""
     if op is None:
         op = GateOp.for_kind(kind, array_spec.topology, n_inputs=n_inputs)
     if op.kind is not kind or op.n_inputs != n_inputs:
         raise GateConfigError("op disagrees with the requested kind/input count")
     check_op_fits(array_spec, op)
-    nominal = array_spec.nominal
-    devs_in = (nominal,) * n_inputs
-    patterns = [pattern_bits(index, n_inputs) for index in range(2 ** n_inputs)]
-    return op, [(bits, solve_pattern(array_spec.topology, op, bits, devs_in,
-                                     nominal))
-                for bits in patterns]
+    dev = array_spec.nominal if dev is None else dev
+    bits = pattern_bits(np.arange(2 ** n_inputs), n_inputs)
+    return op, solve_pattern(array_spec.topology, op, bits, (dev,) * n_inputs,
+                             dev, op.v_drive if v_drive is None else v_drive)
 
 
 def truth_table(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
@@ -337,13 +338,15 @@ def truth_table(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
     read-current scheme; bit-line voltage and effective threshold for the
     voltage-gated scheme.
     """
-    op, solved = _nominal_patterns(array_spec, kind, n_inputs, op)
+    op, (_, first, i_crit, switched) = _solve_patterns(array_spec, kind,
+                                                        n_inputs, op)
     first_name, crit_name = OBSERVABLES[array_spec.topology]
+    first, i_crit = np.broadcast_arrays(first, i_crit)  # one 2T-1R threshold
     rows = tuple(
-        TruthRow(bits=bits, expected=boolean_output(kind, bits),
-                 actual=op.out_init.bit ^ switched,
-                 observables={first_name: first, crit_name: i_crit})
-        for bits, (_, first, i_crit, switched) in solved)
+        TruthRow(bits, boolean_output(kind, bits), op.out_init ^ s,
+                 {first_name: f, crit_name: c})
+        for bits, f, c, s in zip(_patterns(n_inputs), first.tolist(),
+                                 i_crit.tolist(), switched.tolist()))
     return TruthTable(topology=array_spec.topology, kind=kind, op=op,
                       rows=rows)
 
@@ -394,27 +397,50 @@ class MarginReport:
         return self.margin / self.midpoint if self.midpoint > 0.0 else 0.0
 
 
+def _windows(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
+             op: GateOp | None, dev=None, v_drive=None):
+    """One :func:`_solve_patterns` solve as margin arrays: the op, the
+    must-switch mask, metric, first observable and largest input current
+    per pattern (last axis), and the window (lo, hi) over the patterns."""
+    op, (sol, first, i_crit, _) = _solve_patterns(array_spec, kind, n_inputs,
+                                                  op, dev, v_drive)
+    read_current = array_spec.topology is Topology.TWO_T_ONE_R
+    must = np.array([boolean_output(kind, bits) != op.out_init
+                     for bits in _patterns(n_inputs)])
+    metric = abs(first) if read_current else i_crit
+    switch, hold = metric[..., must], metric[..., ~must]
+    lo, hi = (hold.max(-1), switch.min(-1)) if read_current \
+        else (switch.max(-1), hold.min(-1))
+    max_input = np.max([abs(sol.current(f"in{k}")) for k in range(n_inputs)],
+                       axis=0)
+    return op, must, metric, first, max_input, lo, hi
+
+
+def margin_sweep(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
+                 op: GateOp | None, dev, points: int) -> list:
+    """:func:`margin_analysis` at ``points`` parameter sets, in one solve.
+
+    ``dev`` holds the swept fields as columns of ``points`` values each
+    (:class:`.variation.CellArrays`), so the sets are the leading axis.
+    """
+    op, must, *observed, lo, hi = _windows(array_spec, kind, n_inputs, op, dev)
+    patterns = list(zip(_patterns(n_inputs), must.tolist()))
+    shape = (points, len(patterns))
+    read_current = array_spec.topology is Topology.TWO_T_ONE_R
+    return [MarginReport(
+        array_spec.topology, kind, n_inputs, op.v_drive, lo_k, hi_k,
+        tuple(PatternPoint(bits, m, x, None if read_current else v, i)
+              for (bits, m), x, v, i in zip(patterns, *rows)))
+        for lo_k, hi_k, *rows in zip(
+            *(np.broadcast_to(x, shape[:1]).tolist() for x in (lo, hi)),
+            *(np.broadcast_to(x, shape).tolist() for x in observed))]
+
+
 def margin_analysis(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
                     op: GateOp | None = None) -> MarginReport:
     """Compute the separating window and per-pattern analog observables."""
-    op, solved = _nominal_patterns(array_spec, kind, n_inputs, op)
-    read_current = array_spec.topology is Topology.TWO_T_ONE_R
-    out_bit = op.out_init.bit
-    points = tuple(
-        PatternPoint(bits=bits,
-                     must_switch=boolean_output(kind, bits) != out_bit,
-                     metric=abs(first) if read_current else i_crit,
-                     v_bl=None if read_current else first,
-                     max_input_current=max(abs(sol.current(f"in{k}"))
-                                           for k in range(n_inputs)))
-        for bits, (sol, first, i_crit, _) in solved)
-    switch = [p.metric for p in points if p.must_switch]
-    hold = [p.metric for p in points if not p.must_switch]
-    lo, hi = (max(hold), min(switch)) if read_current \
-        else (max(switch), min(hold))
-    return MarginReport(topology=array_spec.topology, kind=kind,
-                        n_inputs=n_inputs, v_drive=op.v_drive,
-                        lo=lo, hi=hi, points=points)
+    return margin_sweep(array_spec, kind, n_inputs, op, array_spec.nominal,
+                        1)[0]
 
 
 @dataclass(frozen=True)
@@ -464,54 +490,47 @@ def calibrate_gate(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
     descending drive-voltage scan picks the voltage with the widest one.
 
     ``v_drive`` overrides the base drive voltage (defaults per topology).
-    Raises :class:`InseparableError` when no separating value exists.
+    Raises :class:`InseparableError` when no separating value exists, and
+    :class:`ConfigError` when the output cell has no zero-bias barrier and
+    that leaves nothing to calibrate.
     """
     if not 0.0 < margin_fraction < 1.0:
         raise ValueError("margin_fraction must be in (0, 1)")
     base_op = GateOp.for_kind(kind, array_spec.topology, n_inputs=n_inputs,
                               v_drive=v_drive)
-
-    if array_spec.topology is Topology.TWO_T_ONE_R:
-        report = margin_analysis(array_spec, kind, n_inputs, op=base_op)
-        lo, hi = report.lo, report.hi
-        if hi <= lo:
-            raise InseparableError(
-                f"{kind.value} with {n_inputs} inputs: no switching threshold "
-                f"separates the input cases (max hold current {lo:.4e} A >= "
-                f"min switch current {hi:.4e} A); check TMR0 and drive voltage")
-        target = lo + margin_fraction * (hi - lo)
-        base_ic = critical_sot_current(array_spec.nominal.replace(Ic_cal=1.0), 0.0)
-        if base_ic == 0.0:
-            raise ConfigError(
-                f"Ki0={array_spec.nominal.Ki0:g} leaves no zero-bias barrier "
-                f"(K_eff <= 0), so no Ic_cal can place the threshold")
-        return Calibration(topology=array_spec.topology, kind=kind,
-                           n_inputs=n_inputs, margin_fraction=margin_fraction,
-                           lo=lo, hi=hi, operating_point=target,
-                           ic_cal=target / base_ic, i_sot=base_op.i_sot,
-                           v_drive=base_op.v_drive)
-
-    best = None
-    for scale in _V_SCAN_SCALES:
-        op = GateOp.for_kind(kind, array_spec.topology, n_inputs=n_inputs,
-                             v_drive=base_op.v_drive * scale)
-        report = margin_analysis(array_spec, kind, n_inputs, op=op)
-        if best is None or report.margin > best.margin:
-            best = report
-        if scale == 1.0 and report.margin > 0.0:
-            break  # the default drive already separates; keep it
-    lo, hi = best.lo, best.hi
-    if best.margin <= 0.0:
-        raise InseparableError(
-            f"{kind.value} with {n_inputs} inputs: no write current separates "
-            f"the input cases at any scanned drive voltage (best window "
-            f"[{lo:.4e}, {hi:.4e}] A); check TMR0 and the VCMA coefficient")
-    magnitude = lo + margin_fraction * (hi - lo)
+    read_current = array_spec.topology is Topology.TWO_T_ONE_R
+    drives = base_op.v_drive * np.array([1.0] if read_current
+                                        else _V_SCAN_SCALES)
+    *_, lo, hi = _windows(array_spec, kind, n_inputs, base_op,
+                          v_drive=drives[:, None])
+    margins = hi - lo
+    # Keep the base drive when it separates, else the first widest window.
+    k = 0 if margins[0] > 0.0 else int(np.argmax(margins))
+    lo, hi, separates = lo[k].item(), hi[k].item(), margins[k] > 0.0
+    base_ic = critical_sot_current(array_spec.nominal.replace(Ic_cal=1.0), 0.0)
+    if not separates and (read_current or base_ic != 0.0):
+        raise InseparableError(f"{kind.value} with {n_inputs} inputs: " + (
+            f"no switching threshold separates the input cases (max hold "
+            f"current {lo:.4e} A >= min switch current {hi:.4e} A); check "
+            f"TMR0 and drive voltage" if read_current else
+            f"no write current separates the input cases at any scanned drive "
+            f"voltage (best window [{lo:.4e}, {hi:.4e}] A); check TMR0 and "
+            f"the VCMA coefficient"))
+    # A barrier gone at 0 V can return under bias (beta * v < 0), so the
+    # voltage-gated scheme names it only when no drive separates.
+    if base_ic == 0.0 and (read_current or not separates):
+        knob = "Ic_cal" if read_current else "write current"
+        raise ConfigError(f"Ki0={array_spec.nominal.Ki0:g} leaves no zero-bias "
+                          f"barrier (K_eff <= 0), so no {knob} can place the "
+                          f"threshold")
+    target = lo + margin_fraction * (hi - lo)
     return Calibration(topology=array_spec.topology, kind=kind,
                        n_inputs=n_inputs, margin_fraction=margin_fraction,
-                       lo=lo, hi=hi, operating_point=magnitude,
-                       ic_cal=None, i_sot=_drive_sign(kind) * magnitude,
-                       v_drive=best.v_drive)
+                       lo=lo, hi=hi, operating_point=target,
+                       ic_cal=target / base_ic if read_current else None,
+                       i_sot=base_op.i_sot if read_current
+                       else _drive_sign(kind) * target,
+                       v_drive=drives[k].item())
 
 
 # --- disturb summary ------------------------------------------------------------
@@ -552,11 +571,3 @@ def parse_gate_ops(text: str, topology: Topology) -> list:
                                    v_drive=v_drive, i_sot=i_sot, pulse=pulse))
     return ops
 
-
-def format_gate_ops(ops) -> str:
-    lines = ["# kind,col,in_rows,out_row,v_drive,i_sot,pulse"]
-    for op in ops:
-        in_rows = ";".join(str(r) for r in op.input_rows)
-        lines.append(f"{op.kind.value},{op.col},{in_rows},{op.output_row},"
-                     f"{op.v_drive!r},{op.i_sot!r},{op.pulse!r}")
-    return "\n".join(lines) + "\n"

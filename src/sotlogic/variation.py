@@ -132,12 +132,12 @@ def block_deviates(spec: VariationSpec, pattern_index: int, block_index: int,
 
 
 class CellArrays:
-    """One cell's device parameters over a block of trials.
+    """One cell's device parameters with some fields held as arrays.
 
-    Each drawn field is an array with one entry per trial; every other
-    attribute reads through to the shared nominal DeviceParams. The closed
-    forms of :mod:`.device` and :mod:`.array` accept it wherever they take
-    DeviceParams.
+    Each given field is an array: one entry per trial of a block, or a
+    column of sweep points. Every other attribute reads through to the
+    shared nominal DeviceParams. The closed forms of :mod:`.device` and
+    :mod:`.array` accept it wherever they take DeviceParams.
     """
 
     def __init__(self, nominal: DeviceParams, **varied):
@@ -224,15 +224,10 @@ def _run_block(array_spec: ArraySpec, op: GateOp, spec: VariationSpec,
     bits = pattern_bits(pattern_index, op.n_inputs)
     z = block_deviates(spec, pattern_index, block, rows, op.n_inputs + 1)
     *devs_in, dev_out = sample_block(array_spec.nominal, spec, z)
-    # solve_gate reports a non-finite result as OverflowError; numpy's
-    # warning on the way there would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, first, i_crit, switched = solve_pattern(
-            array_spec.topology, op, bits, devs_in, dev_out)
-    # i_crit always varies (t_ox, t_f); the first observable is constant
-    # when no drawn field reaches it (e.g. all-P inputs without RA spread).
-    observables = np.stack([np.broadcast_to(first, i_crit.shape), i_crit])
-    success = (op.out_init.bit ^ switched) == boolean_output(op.kind, bits)
+    _, first, i_crit, switched = solve_pattern(array_spec.topology, op, bits,
+                                               devs_in, dev_out, op.v_drive)
+    observables = np.stack([first, i_crit])
+    success = (op.out_init ^ switched) == boolean_output(op.kind, bits)
     return success, observables
 
 

@@ -183,7 +183,7 @@ def test_write_idempotent():
     arr = make_array()
     once = write_cell(arr, 2, 1, MagState.P)
     twice = write_cell(once, 2, 1, MagState.P)
-    assert twice.logic_grid() == once.logic_grid()
+    assert twice.cells == once.cells
 
 
 def test_overwrite():
@@ -220,7 +220,7 @@ def test_csv_round_trip():
     assert text.splitlines()[0] == "rows,cols,topology"
     assert text.splitlines()[1] == "3,3,2t1r"
     back = MramArray.from_csv(text, DeviceParams.default_2t1r())
-    assert back.logic_grid() == arr.logic_grid()
+    assert back.cells == arr.cells
     assert back.spec.topology is Topology.TWO_T_ONE_R
 
 

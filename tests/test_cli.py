@@ -9,11 +9,15 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sotlogic import (ArraySpec, DeviceParams, GateKind, GateOp, Topology,
+                      critical_sot_current, margin_analysis)
 from sotlogic.cli import _COMMANDS, MAX_INPUTS, build_parser, main
+from sotlogic.gates import worst_input_density
 
 
 def read_table(path):
@@ -167,15 +171,51 @@ def test_sweep_finds_feasibility_boundary(tmp_path):
     assert flags[0] and not flags[-1] and True in flags and False in flags
 
 
+# (topology, gate, inputs, axis, min, max, points)
+SWEEPS = [("2t1r", "nor", 2, "RA", 10.0, 10.0, 1),
+          ("2t1r", "nand", 3, "TMR0", 0.2, 1.8, 5),
+          ("2t1r", "or", 2, "R_on", 0.0, 3000.0, 4),
+          ("2t1r", "and", 1, "t_f", 0.9e-9, 1.3e-9, 3),
+          ("2t1r", "nor", 4, "D", 30e-9, 80e-9, 6),
+          ("vgsot", "nor", 2, "beta", 1e-15, 120e-15, 7),
+          ("vgsot", "and", 3, "t_ox", 1.0e-9, 2.0e-9, 5),
+          ("vgsot", "or", 2, "RA", 300.0, 900.0, 3),
+          ("vgsot", "nand", 5, "Ki0", 2.6e-4, 3.6e-4, 4),
+          ("vgsot", "nor", 1, "J_stt_crit", 1e9, 1e11, 2),
+          # More points than one solve takes at this fan-in.
+          ("2t1r", "nor", 8, "RA", 5.0, 50.0, 20),
+          ("vgsot", "and", 7, "TMR0", 0.5, 1.5, 40)]
+
+
 def test_single_point_sweep_matches_margin_analysis(tmp_path):
-    out = tmp_path / "o"
-    assert main(["sweep", "--axis", "RA", "--min", "10", "--max", "10",
-                 "--points", "1", "--out", str(out)]) == 0
-    assert main(["margin", "--out", str(out)]) == 0
-    _, sweep_rows = read_table(out / "sweep_sweep.csv")
-    _, margin_rows = read_table(out / "margin_summary.csv")
-    assert float(sweep_rows[0][3]) == pytest.approx(float(margin_rows[0][2]),
-                                                    rel=1e-9)
+    # The points of a sweep are solved together as arrays; each must equal
+    # a margin analysis and a threshold at that point's parameters alone.
+    # JSON keeps every float exactly.
+    for topology, gate, n, axis, lo, hi, points in SWEEPS:
+        out = tmp_path / f"{topology}_{axis}"
+        assert main(["sweep", "--topology", topology, "--gate", gate,
+                     "--inputs", str(n), "--axis", axis, "--min", str(lo),
+                     "--max", str(hi), "--points", str(points),
+                     "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads((out / "sweep_report.json").read_text())[
+            "tables"]["sweep"]["rows"]
+        topo, kind = Topology.parse(topology), GateKind.parse(gate)
+        base = DeviceParams.default_2t1r() if topo is Topology.TWO_T_ONE_R \
+            else DeviceParams.default_vgsot()
+        assert len(rows) == points
+        for value, row in zip(np.linspace(lo, hi, points).tolist(), rows):
+            params = base.replace(**{axis: value})
+            report = margin_analysis(ArraySpec(topo, max(3, n + 1), 1, params),
+                                     kind, n, GateOp.for_kind(kind, topo,
+                                                              n_inputs=n))
+            i_dev = critical_sot_current(params, 0.0)
+            density = worst_input_density(report, params)
+            feasible = report.margin > 0.0 and (
+                topo is Topology.VGSOT or report.hi >= i_dev)
+            assert row == [value, report.lo, report.hi, report.margin,
+                           report.relative_margin, i_dev, density,
+                           density < params.J_stt_crit, feasible], \
+                (topology, axis, value)
 
 
 def test_sweep_unknown_axis(tmp_path, capsys):
@@ -269,6 +309,12 @@ def test_gate_topology_mismatch(tmp_path, capsys):
     (["calibrate", "--config", "{ki0_config}"], "Ki0"),
     (["truth-table", "--config", "{ki0_config}"], "zero-bias barrier"),
     (["mc", "-n", "5", "--config", "{ki0_config}"], "zero-bias barrier"),
+    # The voltage-gated drive scan finds no window for the same reason.
+    (["calibrate", "--topology", "vgsot", "--config", "{ki0_config}"], "Ki0"),
+    (["truth-table", "--topology", "vgsot", "--config", "{ki0_config}"],
+     "zero-bias barrier"),
+    (["mc", "-n", "5", "--topology", "vgsot", "--config", "{ki0_config}"],
+     "zero-bias barrier"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     files = {"{nan_config}": ("nan.json", '{"TMR0": NaN}'),

@@ -13,6 +13,7 @@ from sotlogic import (ConfigError, DeviceParams, MagState, Polarity,
                       load_device_params, mtj_area, mtj_resistance,
                       switch_decision)
 from sotlogic.device import HBAR, MU0, OERSTED, Q_E
+from sotlogic.variation import CellArrays
 
 P2 = DeviceParams.default_2t1r()
 PV = DeviceParams.default_vgsot()
@@ -112,23 +113,28 @@ def test_threshold_scales_with_calibration_factor():
         2.5 * critical_sot_current(P2, 0.0), rel=1e-12)
 
 
-def test_exchange_correction_lowers_threshold():
-    with_field = critical_sot_current(P2, 0.0, include_exchange=True)
-    assert 0.0 < with_field < critical_sot_current(P2, 0.0)
-
-
-@pytest.mark.parametrize("include_exchange", [False, True])
-def test_threshold_on_arrays_equals_scalar_calls(include_exchange):
+def test_threshold_on_arrays_equals_scalar_calls():
     # The batched Monte-Carlo kernel evaluates the same law on arrays; the
     # clamp must act elementwise and scalar calls must stay Python floats.
     import numpy as np
     volts = np.array([0.0, 0.5, 1.0, 1.25, 1.5, 3.0])
-    scalar = [critical_sot_current(P2, float(v), include_exchange)
-              for v in volts]
+    scalar = [critical_sot_current(P2, float(v)) for v in volts]
     assert all(type(i) is float for i in scalar)
     assert scalar[-1] == 0.0 and scalar[0] > 0.0
-    assert np.array_equal(critical_sot_current(P2, volts, include_exchange),
-                          scalar)
+    assert np.array_equal(critical_sot_current(P2, volts), scalar)
+
+
+def test_threshold_of_array_fields_clamps_without_a_barrier():
+    # A sweep column of a field outside the barrier term (here Ic_cal)
+    # gives an array threshold while the barrier test stays one bool.
+    import numpy as np
+    gone = P2.replace(Ki0=1e-9)
+    ic_cal = np.array([0.5, 1.0, 2.0])
+    assert np.array_equal(critical_sot_current(CellArrays(gone, Ic_cal=ic_cal)),
+                          np.zeros(3))
+    assert np.array_equal(critical_sot_current(CellArrays(P2, Ic_cal=ic_cal)),
+                          [critical_sot_current(P2.replace(Ic_cal=c))
+                           for c in ic_cal.tolist()])
 
 
 # --- switch decision ---------------------------------------------------------------

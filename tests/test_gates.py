@@ -1,6 +1,7 @@
 """Gate execution, truth tables, margins, calibration and energy."""
 
 import math
+import re
 
 import pytest
 
@@ -8,8 +9,8 @@ from sotlogic import (ArraySpec, DeviceParams, GateConfigError, GateKind,
                       GateOp, InseparableError, MagState, MramArray, Topology,
                       calibrate_gate, execute_gate, margin_analysis,
                       truth_table, write_cell)
-from sotlogic.gates import (format_gate_ops, gate_energy_from_solution,
-                            parse_gate_ops, pattern_bits, pattern_label)
+from sotlogic.gates import (gate_energy_from_solution, parse_gate_ops,
+                            pattern_bits, pattern_label)
 
 P2 = DeviceParams.default_2t1r()
 PV = DeviceParams.default_vgsot()
@@ -79,9 +80,9 @@ def test_execute_gate_never_mutates_inputs():
     spec, op = calibrated(Topology.TWO_T_ONE_R, GateKind.NOR, 2)
     arr = MramArray.uniform(spec)
     arr = write_cell(arr, 0, 0, MagState.P)
-    before = arr.logic_grid()
+    before = arr.cells
     trace = execute_gate(arr, op)
-    after = trace.post.logic_grid()
+    after = trace.post.cells
     for r in range(spec.rows):
         if r != op.output_row:
             assert after[r] == before[r]
@@ -156,7 +157,7 @@ def test_pattern_walk_equals_execute_gate_on_an_array(topology, kind, n):
         out = trace.solution.current("out")
         first = out if topology is Topology.TWO_T_ONE_R else trace.v_bl
         first_name = "i_out" if topology is Topology.TWO_T_ONE_R else "v_bl"
-        assert row.actual == trace.post.cell(op.output_row, op.col).mag.bit
+        assert row.actual == trace.post.cell(op.output_row, op.col).mag
         assert row.observables == {first_name: first, "i_crit": trace.i_crit}
         assert point.bits == row.bits
         assert point.metric == (abs(out) if topology is Topology.TWO_T_ONE_R
@@ -341,8 +342,12 @@ def test_recipe_parse_overrides_and_round_trip():
     assert ops[0].v_drive == pytest.approx(0.9)
     assert ops[0].i_sot == pytest.approx(5e-5)
     assert ops[0].pulse == pytest.approx(1e-9)
-    again = parse_gate_ops(format_gate_ops(ops), Topology.VGSOT)
-    assert again == ops
+    # Written back in the recipe format with repr'd numbers, the op parses
+    # to itself.
+    op = ops[0]
+    text = (f"{op.kind.value},{op.col},{';'.join(map(str, op.input_rows))},"
+            f"{op.output_row},{op.v_drive!r},{op.i_sot!r},{op.pulse!r}\n")
+    assert parse_gate_ops(text, Topology.VGSOT) == ops
 
 
 def test_recipe_parse_errors():
@@ -350,3 +355,47 @@ def test_recipe_parse_errors():
         parse_gate_ops("nor,0,0;1\n", Topology.TWO_T_ONE_R)
     with pytest.raises(ValueError, match="line 2"):
         parse_gate_ops("nor,0,0;1,2\nxor,0,0;1,2\n", Topology.TWO_T_ONE_R)
+
+
+# --- the voltage-gated drive scan ------------------------------------------------
+
+def loop_drive_scan(spec, kind, n):
+    """Reference: the drive scan as a loop of margin analyses, one per drive.
+
+    Stops at scale 1.0 when that drive separates, else keeps the first
+    report with the widest window.
+    """
+    base = GateOp.for_kind(kind, spec.topology, n_inputs=n).v_drive
+    best = None
+    for scale in [round(1.0 - 0.025 * k, 4) for k in range(33)]:
+        op = GateOp.for_kind(kind, spec.topology, n_inputs=n,
+                             v_drive=base * scale)
+        report = margin_analysis(spec, kind, n, op=op)
+        if best is None or report.margin > best.margin:
+            best = report
+        if scale == 1.0 and report.margin > 0.0:
+            break
+    return best
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_drive_scan_equals_a_loop_of_margin_analyses(kind, n):
+    # calibrate_gate solves all scanned drives as one array.
+    spec = spec_for(Topology.VGSOT, n)
+    best = loop_drive_scan(spec, kind, n)
+    assert best.margin > 0.0
+    cal = calibrate_gate(spec, kind, n)
+    assert (cal.lo, cal.hi, cal.v_drive) == (best.lo, best.hi, best.v_drive)
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_drive_scan_ties_keep_the_first_drive(kind):
+    # Without TMR every drive gives an empty window (margin 0); the report
+    # names the first one, the base drive, as the loop does.
+    spec = spec_for(Topology.VGSOT, 2, PV.replace(TMR0=0.0))
+    best = loop_drive_scan(spec, kind, 2)
+    assert best.v_drive == 1.5 and best.margin == 0.0
+    with pytest.raises(InseparableError,
+                       match=re.escape(f"[{best.lo:.4e}, {best.hi:.4e}]")):
+        calibrate_gate(spec, kind, 2)

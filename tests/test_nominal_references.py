@@ -8,7 +8,8 @@ rows must match. A refactor that must keep the same output bytes is held to
 it here. The ``mc`` commands of the mc_narrow (CSV) and mc_wide (JSON)
 workloads are checked the same way, which parses both report formats: the
 trials table's size, the summary's agreement with it and the success
-rates. Nothing under ``benchmarks/`` is written.
+rates. Every command runs with warnings turned into errors, so a numpy
+RuntimeWarning fails it. Nothing under ``benchmarks/`` is written.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import io
 import json
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -42,7 +44,9 @@ def _problems(commands, tmp_path) -> list:
     for i, command in enumerate(commands):
         out = tmp_path / f"c{i:03d}"
         with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails
             code = cli.main(list(command.argv) + ["--out", str(out)])
         problems += [(command.ref_key, p) for p in checks.check_command(
             command, code, checks.read_outputs(out), refs.get(command.ref_key))]

@@ -238,7 +238,7 @@ def test_kernel_matches_execute_gate_trial_by_trial(topology, kind, n_inputs):
             arr = arr.with_cell(op.output_row, op.col,
                                 CellState(op.out_init, devs[-1]))
             trace = execute_gate(arr, op)
-            actual = trace.post.cell(op.output_row, op.col).mag.bit
+            actual = trace.post.cell(op.output_row, op.col).mag
             assert bool(p.success_flags[t]) == (actual == p.expected)
             oracle = {"i_out": trace.solution.current("out"),
                       "v_bl": trace.v_bl, "i_crit": trace.i_crit}
