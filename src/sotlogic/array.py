@@ -111,12 +111,15 @@ class MramArray:
             raise ValueError(f"array CSV declares {rows} rows, found {len(grid)}")
         spec = ArraySpec(topology=topology, rows=rows, cols=cols, nominal=nominal)
         cells = []
-        for line in grid:
-            bits = line.split(",")
+        for row, line in enumerate(grid):
+            bits = [b.strip() for b in line.split(",")]
             if len(bits) != cols:
                 raise ValueError(f"array CSV row has {len(bits)} columns, expected {cols}")
+            bad = [b for b in bits if b not in ("0", "1")]
+            if bad:
+                raise ValueError(f"array CSV row {row}: {bad[0]!r} is not a bit (0 or 1)")
             cells.append(tuple(
-                CellState(MagState.from_bit(int(b)), nominal) for b in bits))
+                CellState(MagState.from_bit(b == "1"), nominal) for b in bits))
         return cls(spec=spec, cells=tuple(cells))
 
 

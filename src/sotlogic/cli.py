@@ -68,25 +68,14 @@ def _common_flags() -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sotlogic",
-        description="Stateful-logic simulator for SOT-MRAM memory arrays")
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = [_common_flags()]
-
-    sub.add_parser("truth-table", parents=common,
-                   help="nominal logic verification")
-
-    p = sub.add_parser("gate", parents=common,
-                       help="execute a gate recipe file on an array")
+def _gate_flags(p) -> None:
     p.add_argument("--ops", required=True, help="gate recipe file")
     p.add_argument("--array", default=None, help="initial array state CSV")
     p.add_argument("--rows", type=int, default=4)
     p.add_argument("--cols", type=int, default=1)
 
-    p = sub.add_parser("mc", parents=common,
-                       help="Monte-Carlo variation campaign")
+
+def _mc_flags(p) -> None:
     p.add_argument("--trials", "-n", type=int, default=1000)
     p.add_argument("--sigma", type=float, default=None,
                    help="relative sigma for t_ox, t_f and TMR at once")
@@ -98,16 +87,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (capped at the CPU count)")
     p.add_argument("--bins", type=int, default=32)
 
-    sub.add_parser("margin", parents=common, help="per-pattern analog margins")
-    sub.add_parser("calibrate", parents=common,
-                   help="suggest an operating point")
 
-    p = sub.add_parser("sweep", parents=common,
-                       help="sweep one device parameter")
+def _sweep_flags(p) -> None:
     p.add_argument("--axis", required=True, help="device parameter to sweep")
     p.add_argument("--min", type=float, required=True, dest="lo")
     p.add_argument("--max", type=float, required=True, dest="hi")
     p.add_argument("--points", type=int, default=10)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand or only ``command``.
+
+    Either parser parses an argv of ``command`` alike, with the same help
+    and error text: the usage line lists every subcommand in both.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sotlogic",
+        description="Stateful-logic simulator for SOT-MRAM memory arrays")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+    common = [_common_flags()]
+    for name in _COMMANDS if command is None else [command]:
+        _, help_text, add_flags = _COMMANDS[name]
+        p = sub.add_parser(name, parents=common, help=help_text)
+        if add_flags is not None:
+            add_flags(p)
     return parser
 
 
@@ -204,13 +209,11 @@ def cmd_truth_table(args) -> int:
 
     obs_names = sorted(table.rows[0].observables)
     columns = input_columns(args.inputs) + ["OUT_expected", "OUT"] + obs_names
-    rows = []
-    for r in table.rows:
-        rows.append(tuple(reversed(r.bits)) + (r.expected, r.actual) +
-                    tuple(r.observables[n] for n in obs_names))
+    rows = [tuple(reversed(r.bits)) + (r.expected, r.actual) +
+            tuple(r.observables[n] for n in obs_names) for r in table.rows]
     extra = _calibration_meta(cal, op)
-    bundle = make_bundle(_meta(args, spec, extra),
-                         tables=[Table("table", tuple(columns), tuple(rows))])
+    bundle = make_bundle(_meta(args, spec, extra), tables=[
+        Table("table", tuple(columns), tuple(zip(*rows)))])
     paths = _emit(args, bundle, "truth_table")
     ok = table.matches
     print(f"truth-table {kind.value} x{args.inputs} [{spec.topology.value}]: "
@@ -261,8 +264,9 @@ def cmd_gate(args) -> int:
 
     columns = ("op", "kind", "col", "in_rows", "out_row", "switched", "out_bit",
                "energy_j", "disturb_ok")
+    data = tuple(zip(*rows)) or ((),) * len(columns)  # a recipe may be empty
     bundle = make_bundle(_meta(args, array.spec),
-                         tables=[Table("traces", columns, tuple(rows))])
+                         tables=[Table("traces", columns, data)])
     paths = _emit(args, bundle, "gate")
     print(f"gate: executed {len(ops)} ops -> {state_path}, {paths[0]}")
     return EXIT_OK
@@ -313,11 +317,11 @@ def cmd_margin(args) -> int:
             for p in report.points]
     patterns = Table("patterns",
                      ("pattern", "must_switch", "metric", "v_bl",
-                      "max_input_current"), tuple(rows))
+                      "max_input_current"), tuple(zip(*rows)))
     summary = Table("summary",
                     ("lo", "hi", "margin", "relative_margin"),
-                    ((report.lo, report.hi, report.margin,
-                      report.relative_margin),))
+                    ((report.lo,), (report.hi,), (report.margin,),
+                     (report.relative_margin,)))
     bundle = make_bundle(_meta(args, spec), tables=[patterns, summary])
     paths = _emit(args, bundle, "margin")
     print(f"margin {kind.value} x{args.inputs} [{spec.topology.value}]: "
@@ -338,8 +342,8 @@ def cmd_calibrate(args) -> int:
            cal.margin_fraction, cal.lo, cal.hi, cal.operating_point,
            cal.ic_cal if cal.ic_cal is not None else "",
            cal.i_sot if cal.i_sot is not None else "", cal.v_drive)
-    bundle = make_bundle(_meta(args, spec),
-                         tables=[Table("calibration", columns, (row,))])
+    bundle = make_bundle(_meta(args, spec), tables=[
+        Table("calibration", columns, tuple(zip(row)))])
     paths = _emit(args, bundle, "calibrate")
     knob = f"Ic_cal={cal.ic_cal:.4f}" if cal.ic_cal is not None \
         else f"i_sot={cal.i_sot:.4e} A"
@@ -389,7 +393,7 @@ def cmd_sweep(args) -> int:
                "i_crit_device", "worst_input_density", "disturb_ok", "feasible")
     bundle = make_bundle(_meta(args, spec, {"axis": args.axis,
                                             "boundary": boundary}),
-                         tables=[Table("sweep", columns, tuple(rows))])
+                         tables=[Table("sweep", columns, tuple(zip(*rows)))])
     paths = _emit(args, bundle, "sweep")
     print(f"sweep {args.axis} in [{args.lo}, {args.hi}] x{args.points} "
           f"[{spec.topology.value} {kind.value}]: boundary={boundary} "
@@ -397,21 +401,25 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# Subcommand -> (runner, help, adder of its own flags), in --help order.
 _COMMANDS = {
-    "truth-table": cmd_truth_table,
-    "gate": cmd_gate,
-    "mc": cmd_mc,
-    "margin": cmd_margin,
-    "calibrate": cmd_calibrate,
-    "sweep": cmd_sweep,
+    "truth-table": (cmd_truth_table, "nominal logic verification", None),
+    "gate": (cmd_gate, "execute a gate recipe file on an array", _gate_flags),
+    "mc": (cmd_mc, "Monte-Carlo variation campaign", _mc_flags),
+    "margin": (cmd_margin, "per-pattern analog margins", None),
+    "calibrate": (cmd_calibrate, "suggest an operating point", None),
+    "sweep": (cmd_sweep, "sweep one device parameter", _sweep_flags),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the named subcommand's parser is built: most of a nominal
+    # command's time would otherwise go to building the other five.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except InseparableError as exc:
         print(f"error: inseparable: {exc}", file=sys.stderr)
         return EXIT_LOGIC

@@ -24,9 +24,12 @@ SIGNIFICANT_DIGITS = 9
 
 @dataclass(frozen=True)
 class Table:
+    """A named table held as columns: ``data[k]`` holds the values of
+    ``columns[k]``, one per row."""
+
     name: str
     columns: tuple
-    rows: tuple  # of equally-long tuples
+    data: tuple  # of equally-long sequences, one per column
 
 
 @dataclass(frozen=True)
@@ -71,16 +74,13 @@ def _meta_lines(meta: dict):
     return [f"# {key}={meta[key]}" for key in sorted(meta)]
 
 
-def _columns(table: Table) -> list:
-    """``table.rows`` transposed; raises ValueError on a row of the wrong
-    width. Empty when the table has no rows."""
-    try:
-        columns = list(zip(*table.rows, strict=True))
-    except ValueError:
-        columns = None
-    if table.rows and (columns is None or len(columns) != len(table.columns)):
-        raise ValueError(f"table {table.name!r}: row width mismatch")
-    return columns
+def _row_count(table: Table) -> int:
+    """The table's number of rows; raises ValueError unless ``table.data``
+    holds one sequence per column, all of one length."""
+    lengths = set(map(len, table.data))
+    if len(table.data) != len(table.columns) or len(lengths) > 1:
+        raise ValueError(f"table {table.name!r}: columns of unequal length")
+    return lengths.pop() if lengths else 0
 
 
 def _column_type(column):
@@ -114,25 +114,11 @@ def _csv_column(column):
 
 
 def _table_csv(table: Table, meta: dict) -> str:
-    columns = _columns(table)
     lines = _meta_lines(meta)
     lines.append(",".join(table.columns))
-    if columns:
-        specs, values = zip(*map(_csv_column, columns))
+    if _row_count(table):
+        specs, values = zip(*map(_csv_column, table.data))
         lines += map(",".join(specs).__mod__, zip(*values))
-    else:  # no rows, or rows of no values
-        lines += [""] * len(table.rows)
-    return "\n".join(lines) + "\n"
-
-
-def _histogram_csv(hist: HistogramTable, meta: dict) -> str:
-    labels = [label for label, _ in hist.series]
-    lines = _meta_lines(meta)
-    lines.append(",".join(["bin_lo", "bin_hi"] + [f"count_{l}" for l in labels]))
-    for b in range(len(hist.bin_edges) - 1):
-        row = [hist.bin_edges[b], hist.bin_edges[b + 1]]
-        row += [counts[b] for _, counts in hist.series]
-        lines.append(",".join(render_number(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -143,14 +129,15 @@ def emit_csv(bundle: ReportBundle, out_dir, prefix: str):
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    histograms = [
+        Table(h.name,
+              ("bin_lo", "bin_hi", *(f"count_{label}" for label, _ in h.series)),
+              (h.bin_edges[:-1], h.bin_edges[1:], *(c for _, c in h.series)))
+        for h in bundle.histograms]
     written = []
-    for table in bundle.tables:
+    for table in (*bundle.tables, *histograms):
         path = out / f"{prefix}_{table.name}.csv"
         path.write_text(_table_csv(table, bundle.meta))
-        written.append(path)
-    for hist in bundle.histograms:
-        path = out / f"{prefix}_{hist.name}.csv"
-        path.write_text(_histogram_csv(hist, bundle.meta))
         written.append(path)
     if not written:
         path = out / f"{prefix}_meta.csv"
@@ -191,14 +178,13 @@ def _json_column(column):
 
 
 def _rows_json(table: Table) -> str:
-    """``table.rows`` as ``json.dumps(indent=2)`` writes them in the
+    """The rows of ``table`` as ``json.dumps(indent=2)`` writes them in the
     document, rendered column by column."""
-    columns = _columns(table)
-    if not columns:  # no rows, or rows of no values
-        return _json_text([list(row) for row in table.rows], _ROWS_DEPTH)
+    if not _row_count(table):
+        return "[]"
     outer = "\n" + "  " * (_ROWS_DEPTH + 1)
     inner = "\n" + "  " * _VALUE_DEPTH
-    rows = map(("," + inner).join, zip(*map(_json_column, columns)))
+    rows = map(("," + inner).join, zip(*map(_json_column, table.data)))
     return ("[" + outer + "[" + inner
             + (outer + "]," + outer + "[" + inner).join(rows)
             + outer + "]" + "\n" + "  " * _ROWS_DEPTH + "]")
@@ -243,7 +229,3 @@ def emit_json(bundle: ReportBundle, path) -> Path:
             f.write(_rows_json(tables[name]))
         f.write(text + "\n")
     return path
-
-
-def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())

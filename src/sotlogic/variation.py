@@ -293,12 +293,11 @@ class HistogramReport:
     overlap_fraction: float
 
 
-def current_histogram(result: MCResult, bins: int = 32,
-                      observable: str | None = None) -> HistogramReport:
-    """Histogram the campaign's analog observable over fixed-width bins."""
+def current_histogram(result: MCResult, bins: int = 32) -> HistogramReport:
+    """Histogram the campaign's primary observable over fixed-width bins."""
     if bins < 1:
         raise ValueError("need at least one bin")
-    observable = observable or result.primary_observable
+    observable = result.primary_observable
     series = {p.label: np.asarray(p.observables[observable])
               for p in result.patterns}
     if not series or any(len(v) == 0 for v in series.values()):
@@ -328,7 +327,7 @@ def current_histogram(result: MCResult, bins: int = 32,
 # --- CSV-shaped exports ------------------------------------------------------------
 
 def mc_tables(result: MCResult, bins: int = 32):
-    """Serializable views of a campaign: summary, per-trial rows, histogram.
+    """Serializable views of a campaign: summary, per-trial table, histogram.
 
     The summary has one row per input pattern (inputs rendered
     most-significant first, expected output, trials, successes, rate); the
@@ -336,23 +335,24 @@ def mc_tables(result: MCResult, bins: int = 32):
     observables and the verdict. Returns (summary, trials, histogram
     table, histogram report).
     """
+    patterns = result.patterns
     summary_rows = [tuple(reversed(p.bits)) +
                     (p.expected, p.trials, p.successes, p.success_rate)
-                    for p in result.patterns]
+                    for p in patterns]
     summary = Table("summary",
                     tuple(input_columns(result.op.n_inputs) +
                           ["OUT", "trials", "successes", "success_rate"]),
-                    tuple(summary_rows))
+                    tuple(zip(*summary_rows)))
 
-    obs_names = sorted(result.patterns[0].observables)
-    trial_rows = []
-    for p in result.patterns:
-        trial_rows.extend(zip(itertools.repeat(p.label), range(p.trials),
-                              *(p.observables[n].tolist() for n in obs_names),
-                              p.success_flags.tolist()))
+    obs_names = sorted(patterns[0].observables)
+    chain = itertools.chain.from_iterable
+    data = (list(chain(itertools.repeat(p.label, p.trials) for p in patterns)),
+            list(chain(range(p.trials) for p in patterns)),
+            *(np.concatenate([p.observables[n] for p in patterns]).tolist()
+              for n in obs_names),
+            np.concatenate([p.success_flags for p in patterns]).tolist())
     trials = Table("trials",
-                   tuple(["pattern", "trial"] + obs_names + ["success"]),
-                   tuple(trial_rows))
+                   tuple(["pattern", "trial"] + obs_names + ["success"]), data)
 
     hist = current_histogram(result, bins=bins)
     histogram = HistogramTable(

@@ -1,24 +1,41 @@
 """Row-by-row report emitters.
 
 The straightforward serialization of ``sotlogic.report`` tables: a CSV table
-rendered one value at a time with ``render_number``, and the JSON document
-encoded whole by ``json.dumps``. The tests use them as the oracle that the
-column-wise emitters of ``sotlogic.report`` must match byte for byte.
+or histogram rendered one value at a time with ``render_number``, and the
+JSON document encoded whole by ``json.dumps``. Tables are given here as
+rows, so callers transpose ``Table.data``. The tests use these emitters as
+the oracle that the column-wise emitters of ``sotlogic.report`` must match
+byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 
-from sotlogic.report import ReportBundle, Table, _meta_lines, render_number
+from sotlogic.report import HistogramTable, ReportBundle, _meta_lines, \
+    render_number
 
 
-def table_csv(table: Table, meta: dict) -> str:
+def rows_of(table) -> list:
+    """The rows of a column-held ``Table``."""
+    return [list(row) for row in zip(*table.data)]
+
+
+def table_csv(columns, rows, meta: dict) -> str:
     lines = _meta_lines(meta)
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        if len(row) != len(table.columns):
-            raise ValueError(f"table {table.name!r}: row width mismatch")
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(render_number(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def histogram_csv(hist: HistogramTable, meta: dict) -> str:
+    labels = [label for label, _ in hist.series]
+    lines = _meta_lines(meta)
+    lines.append(",".join(["bin_lo", "bin_hi"] + [f"count_{l}" for l in labels]))
+    for b in range(len(hist.bin_edges) - 1):
+        row = [hist.bin_edges[b], hist.bin_edges[b + 1]]
+        row += [counts[b] for _, counts in hist.series]
         lines.append(",".join(render_number(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -28,8 +45,7 @@ def json_text(bundle: ReportBundle) -> str:
     doc = {
         "meta": dict(bundle.meta),
         "tables": {
-            t.name: {"columns": list(t.columns),
-                     "rows": [list(r) for r in t.rows]}
+            t.name: {"columns": list(t.columns), "rows": rows_of(t)}
             for t in bundle.tables
         },
         "histograms": {

@@ -6,6 +6,7 @@ arithmetic, keeping the oracle route independent of the solver code.
 
 import itertools
 import math
+import re
 
 import pytest
 
@@ -233,3 +234,15 @@ def test_csv_rejects_ragged_grid():
     text = "rows,cols,topology\n3,2,2t1r\n0,0\n0\n0,0\n"
     with pytest.raises(ValueError):
         MramArray.from_csv(text, DeviceParams.default_2t1r())
+
+
+def test_csv_cells_are_exactly_bits():
+    text = "rows,cols,topology\n3,2,2t1r\n 1 ,0\n0, 0\n1,1\n"
+    back = MramArray.from_csv(text, DeviceParams.default_2t1r())
+    assert [[int(c.mag) for c in row] for row in back.cells] == \
+        [[1, 0], [0, 0], [1, 1]]
+    for cell in ("2", "-1", "01", "+1", "1.0", "", "x"):
+        text = f"rows,cols,topology\n3,2,2t1r\n0,0\n0,{cell}\n0,0\n"
+        with pytest.raises(ValueError,
+                           match=re.escape(f"row 1: {cell!r} is not a bit")):
+            MramArray.from_csv(text, DeviceParams.default_2t1r())

@@ -315,12 +315,21 @@ def test_gate_topology_mismatch(tmp_path, capsys):
      "zero-bias barrier"),
     (["mc", "-n", "5", "--topology", "vgsot", "--config", "{ki0_config}"],
      "zero-bias barrier"),
+    # An array CSV cell is exactly 0 or 1.
+    (["gate", "--ops", "{nor_recipe}", "--array", "{bad_array}"],
+     "array CSV row 0: '2' is not a bit"),
+    (["gate", "--ops", "{nor_recipe}", "--array", "{negative_array}"],
+     "array CSV row 1: '-1' is not a bit"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     files = {"{nan_config}": ("nan.json", '{"TMR0": NaN}'),
              "{ms_config}": ("ms.json", '{"Ms": 1e200}'),
              "{ki0_config}": ("ki0.json", '{"Ki0": 1e-9}'),
-             "{recipe}": ("recipe.txt", "nor,0,0;1,2,,1e300\n")}
+             "{recipe}": ("recipe.txt", "nor,0,0;1,2,,1e300\n"),
+             "{nor_recipe}": ("nor.txt", "nor,0,0;1,2\n"),
+             "{bad_array}": ("bad.csv", "rows,cols,topology\n3,1,2t1r\n2\n-1\n0\n"),
+             "{negative_array}": ("neg.csv",
+                                  "rows,cols,topology\n3,1,2t1r\n0\n-1\n0\n")}
     for name, text in files.values():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / files[a][0]) if a in files else a for a in argv]
@@ -365,6 +374,35 @@ def test_every_subcommand_takes_the_common_flags(command):
     parsed = build_parser().parse_args(argv)
     assert {k: getattr(parsed, k) for k in COMMON_FLAGS} == \
         {k: value for k, (_, _, _, value) in COMMON_FLAGS.items()}
+
+
+def _parse_output(parser, argv):
+    """(exit code, stdout, stderr) of a parse that ends in help or an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_one_subcommand_parser_prints_what_the_full_parser_does(command):
+    unknown_flag = [command, *REQUIRED_FLAGS.get(command, []), "--bogus"]
+    for argv in ([command, "-h"], unknown_flag, [command, "--inputs"],
+                 [command, "--inputs", "x"]):
+        expected = _parse_output(build_parser(), argv)
+        assert _parse_output(build_parser(command), argv) == expected
+        assert _run_captured(argv) == expected
+    # The top-level usage line of this error lists every subcommand.
+    code, _, err = _run_captured(unknown_flag)
+    assert code == 2 and "{truth-table,gate,mc,margin,calibrate,sweep}" in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["bogus"], [], ["-x"]])
+def test_top_level_help_and_errors_list_every_subcommand(argv):
+    code, out, err = _run_captured(argv)
+    assert (code, out, err) == _parse_output(build_parser(), argv)
+    assert all(name in out + err for name in _COMMANDS)
 
 
 def test_fan_in_above_limit_fails_fast(tmp_path, capsys):

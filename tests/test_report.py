@@ -13,13 +13,14 @@ from sotlogic import (ArraySpec, DeviceParams, GateKind, HistogramTable,
                       Table, Topology, VariationSpec, calibrate_gate,
                       config_digest, emit_csv, emit_json, make_bundle,
                       mc_tables, run_mc)
-from sotlogic.report import _table_csv, load_json, render_number
+from sotlogic.report import _table_csv, render_number
 
 
 def sample_bundle():
     table = Table("currents", ("pattern", "i_out", "ok"),
-                  (("00", 1.7727758484067638e-4, True),
-                   ("01", 2.440482482408333e-4, False)))
+                  (("00", "01"),
+                   (1.7727758484067638e-4, 2.440482482408333e-4),
+                   (True, False)))
     hist = HistogramTable("spread", (0.0, 0.5, 1.0),
                           (("00", (3, 7)), ("01", (5, 5))))
     return make_bundle({"seed": 42, "config_digest": "abc123"},
@@ -68,7 +69,7 @@ def test_csv_byte_identical_across_runs(tmp_path):
 def test_json_round_trip_exact(tmp_path):
     bundle = sample_bundle()
     path = emit_json(bundle, tmp_path / "run_report.json")
-    doc = load_json(path)
+    doc = json.loads(path.read_text())
     rows = doc["tables"]["currents"]["rows"]
     assert rows[0][1] == 1.7727758484067638e-4  # full precision preserved
     assert doc["meta"]["seed"] == 42
@@ -88,16 +89,17 @@ def test_empty_bundle_metadata_only(tmp_path):
     paths = emit_csv(bundle, tmp_path, "empty")
     assert len(paths) == 1 and paths[0].name == "empty_meta.csv"
     assert "seed,9" in paths[0].read_text()
-    doc = load_json(emit_json(bundle, tmp_path / "empty.json"))
+    doc = json.loads(emit_json(bundle, tmp_path / "empty.json").read_text())
     assert doc["tables"] == {} and doc["meta"]["seed"] == 9
 
 
-def test_table_row_width_checked(tmp_path):
-    for rows in (((1,),), ((1,), (2,)), ((1, 2), (3,)), ((1, 2), (3, 4, 5))):
-        bad = make_bundle({}, tables=[Table("t", ("a", "b"), rows)])
-        with pytest.raises(ValueError, match="row width mismatch"):
+def test_table_columns_of_unequal_length_rejected(tmp_path):
+    for data in ((), ((1,),), ((1,), (2,), (3,)), ((1, 2), (3,)), ((), (4,)),
+                 ((1, 2), (3, 4, 5))):
+        bad = make_bundle({}, tables=[Table("t", ("a", "b"), data)])
+        with pytest.raises(ValueError, match="'t': columns of unequal length"):
             emit_csv(bad, tmp_path, "bad")
-        with pytest.raises(ValueError, match="row width mismatch"):
+        with pytest.raises(ValueError, match="'t': columns of unequal length"):
             emit_json(bad, tmp_path / "bad.json")
 
 
@@ -145,11 +147,10 @@ column_values = st.sampled_from((
 def tables(draw):
     n_rows = draw(st.sampled_from((0, 1, 2, 3, 17)))
     n_cols = draw(st.integers(0, 5))
-    columns = [draw(st.lists(draw(column_values), min_size=n_rows,
-                             max_size=n_rows)) for _ in range(n_cols)]
-    rows = tuple(zip(*columns)) if columns else ((),) * n_rows
+    data = tuple(draw(st.lists(draw(column_values), min_size=n_rows,
+                               max_size=n_rows)) for _ in range(n_cols))
     return Table(draw(st.sampled_from(("t", "trials", "b"))),
-                 tuple(f"c{k}" for k in range(n_cols)), rows)
+                 tuple(f"c{k}" for k in range(n_cols)), data)
 
 
 def _oracle_or_error(fn, *args):
@@ -171,7 +172,29 @@ def _json_or_error(bundle, path):
 def test_csv_matches_row_wise_oracle(table):
     meta = {"seed": 1, "note": "x"}
     assert _oracle_or_error(_table_csv, table, meta) == \
-        _oracle_or_error(report_oracle.table_csv, table, meta)
+        _oracle_or_error(report_oracle.table_csv, table.columns,
+                         report_oracle.rows_of(table), meta)
+
+
+@st.composite
+def histograms(draw):
+    n_bins = draw(st.sampled_from((0, 1, 2, 3, 32)))
+    edges = draw(st.lists(floats, min_size=n_bins + 1, max_size=n_bins + 1))
+    labels = draw(st.lists(texts, min_size=1, max_size=5))
+    counts = st.lists(ints, min_size=n_bins, max_size=n_bins).map(tuple)
+    return HistogramTable("h", tuple(edges),
+                          tuple((label, draw(counts)) for label in labels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hist=histograms())
+def test_histogram_csv_matches_row_wise_oracle(tmp_path_factory, hist):
+    meta = {"seed": 1}
+    out = tmp_path_factory.getbasetemp()  # each example overwrites r_h.csv
+    (path,) = emit_csv(make_bundle(meta, histograms=[hist]), out, "r")
+    assert path.name == "r_h.csv"
+    assert path.read_bytes() == report_oracle.histogram_csv(
+        hist, make_bundle(meta).meta).encode()
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,7 +210,7 @@ def test_json_matches_row_wise_oracle(tmp_path_factory, tabs):
 
 
 def test_non_finite_floats_spelled_as_json_does(tmp_path):
-    table = Table("t", ("x",), ((1.5,), (math.nan,), (math.inf,), (-math.inf,)))
+    table = Table("t", ("x",), ((1.5, math.nan, math.inf, -math.inf),))
     text = emit_json(make_bundle({}, tables=[table]), tmp_path / "r.json") \
         .read_text()
     assert "NaN" in text and "-Infinity" in text and "nan" not in text
@@ -212,6 +235,10 @@ def test_mc_reports_equal_row_wise_oracle(tmp_path, topology, kind):
     emit_csv(bundle, tmp_path, "mc")
     for table in bundle.tables:
         assert (tmp_path / f"mc_{table.name}.csv").read_text() == \
-            report_oracle.table_csv(table, bundle.meta)
+            report_oracle.table_csv(table.columns,
+                                    report_oracle.rows_of(table), bundle.meta)
+    for hist in bundle.histograms:
+        assert (tmp_path / f"mc_{hist.name}.csv").read_text() == \
+            report_oracle.histogram_csv(hist, bundle.meta)
     assert emit_json(bundle, tmp_path / "mc.json").read_text() == \
         report_oracle.json_text(bundle)

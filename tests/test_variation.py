@@ -282,14 +282,15 @@ def test_trial_rows_are_plain_python_values():
     result = run_mc(spec, op, 7, VariationSpec(seed=3))
     _, trials, _, _ = mc_tables(result)
     assert trials.columns == ("pattern", "trial", "i_crit", "i_out", "success")
-    assert len(trials.rows) == 4 * 7
-    for (label, t, i_crit, i_out, ok), (p, k) in zip(
-            trials.rows, itertools.product(result.patterns, range(7))):
-        assert type(label) is str and label == p.label
-        assert type(t) is int and t == k
-        assert type(i_crit) is float and i_crit == p.observables["i_crit"][k]
-        assert type(i_out) is float and i_out == p.observables["i_out"][k]
-        assert type(ok) is bool and ok == p.success_flags[k]
+    labels, index, i_crit, i_out, ok = trials.data
+    cases = list(itertools.product(result.patterns, range(7)))
+    assert labels == [p.label for p, _ in cases]
+    assert index == [k for _, k in cases]
+    assert i_crit == [p.observables["i_crit"][k] for p, k in cases]
+    assert i_out == [p.observables["i_out"][k] for p, k in cases]
+    assert ok == [p.success_flags[k] for p, k in cases]
+    for column, kind in zip(trials.data, (str, int, float, float, bool)):
+        assert type(column) is list and {type(v) for v in column} == {kind}
 
 
 def test_run_mc_validates_trial_count():
@@ -338,5 +339,3 @@ def test_histogram_requires_data():
     result = run_mc(spec, op, 5, VariationSpec(seed=1))
     with pytest.raises(ValueError):
         current_histogram(result, bins=0)
-    with pytest.raises(KeyError):
-        current_histogram(result, observable="nope")
