@@ -19,8 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .device import DeviceParams, MagState, channel_resistance, mtj_resistance
 from .network import GROUND, Branch, NetworkSolution
+
+
+# Size limit of an array, checked before its bit grid is allocated: a
+# 4096 x 4096 array takes 16 MiB, and each op that changes a bit copies it.
+MAX_CELLS = 2 ** 24
 
 
 class Topology(str, Enum):
@@ -49,6 +56,9 @@ class ArraySpec:
             raise ValueError("array needs rows >= 3 (two inputs plus an output)")
         if self.cols < 1:
             raise ValueError("array needs cols >= 1")
+        if self.rows * self.cols > MAX_CELLS:
+            raise ValueError(f"array needs rows * cols <= {MAX_CELLS}, got "
+                             f"{self.rows} x {self.cols}")
 
 
 @dataclass(frozen=True)
@@ -60,40 +70,36 @@ class CellState:
     dev: DeviceParams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MramArray:
-    """Immutable snapshot of the array; updates return a new snapshot."""
+    """Immutable snapshot of the array's logic state; updates return a new
+    snapshot.
+
+    ``bits`` is a read-only ``(rows, cols)`` uint8 grid (1 = P); every cell
+    has the device parameters ``spec.nominal``. A uint8 array given as
+    ``bits`` is taken over, not copied, and made read-only.
+    """
 
     spec: ArraySpec
-    cells: tuple  # rows x cols of CellState
+    bits: np.ndarray
+
+    def __post_init__(self):
+        bits = np.asarray(self.bits, dtype=np.uint8)
+        if bits.shape != (self.spec.rows, self.spec.cols):
+            raise ValueError(f"bit grid of shape {bits.shape} does not fit a "
+                             f"{self.spec.rows}x{self.spec.cols} array")
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def uniform(cls, spec: ArraySpec, mag: MagState = MagState.AP) -> "MramArray":
-        cell = CellState(mag, spec.nominal)
-        row = (cell,) * spec.cols
-        return cls(spec=spec, cells=(row,) * spec.rows)
-
-    def cell(self, row: int, col: int) -> CellState:
-        self._check_address(row, col)
-        return self.cells[row][col]
-
-    def _check_address(self, row: int, col: int) -> None:
-        if not (0 <= row < self.spec.rows and 0 <= col < self.spec.cols):
-            raise IndexError(
-                f"cell ({row}, {col}) out of bounds for "
-                f"{self.spec.rows}x{self.spec.cols} array")
-
-    def with_cell(self, row: int, col: int, state: CellState) -> "MramArray":
-        self._check_address(row, col)
-        new_row = self.cells[row][:col] + (state,) + self.cells[row][col + 1:]
-        new_cells = self.cells[:row] + (new_row,) + self.cells[row + 1:]
-        return MramArray(spec=self.spec, cells=new_cells)
+        return cls(spec, np.full((spec.rows, spec.cols), mag, dtype=np.uint8))
 
     def to_csv(self) -> str:
         """Serialize the logic state; device parameters are not serialized."""
         lines = ["rows,cols,topology",
                  f"{self.spec.rows},{self.spec.cols},{self.spec.topology.value}"]
-        lines += [",".join(str(int(c.mag)) for c in row) for row in self.cells]
+        lines += [",".join(map(str, row)) for row in self.bits.tolist()]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -118,17 +124,22 @@ class MramArray:
             bad = [b for b in bits if b not in ("0", "1")]
             if bad:
                 raise ValueError(f"array CSV row {row}: {bad[0]!r} is not a bit (0 or 1)")
-            cells.append(tuple(
-                CellState(MagState.from_bit(b == "1"), nominal) for b in bits))
-        return cls(spec=spec, cells=tuple(cells))
+            cells.append([b == "1" for b in bits])
+        return cls(spec, cells)
 
 
 def write_cell(array: MramArray, row: int, col: int, state: MagState) -> MramArray:
-    """Unconditionally set one cell's magnetization; idempotent."""
-    old = array.cell(row, col)
-    if old.mag is state:
+    """Set one cell's magnetization: the same snapshot when the cell already
+    holds ``state``, else a copy holding it."""
+    if not (0 <= row < array.spec.rows and 0 <= col < array.spec.cols):
+        raise IndexError(
+            f"cell ({row}, {col}) out of bounds for "
+            f"{array.spec.rows}x{array.spec.cols} array")
+    if array.bits[row, col] == state:
         return array
-    return array.with_cell(row, col, CellState(state, old.dev))
+    bits = array.bits.copy()
+    bits[row, col] = state
+    return MramArray(array.spec, bits)
 
 
 # --- closed-form gate networks ----------------------------------------------

@@ -38,6 +38,12 @@ CONFIG_ENV = "SOTLOGIC_CONFIG"
 # Fan-in limit: a gate with n inputs is evaluated over all 2^n input
 # patterns, so --inputs is bounded before anything is allocated.
 MAX_INPUTS = 8
+# Size limits, checked before anything is allocated: a sweep solves and
+# reports one row per point, a histogram one row per bin. The cells of a
+# gate array (--rows x --cols, or an array CSV header) are bounded by
+# ``array.MAX_CELLS``.
+MAX_POINTS = 2 ** 16
+MAX_BINS = 2 ** 16
 
 _SWEEP_AXES = tuple(f.name for f in dataclasses.fields(DeviceParams))
 
@@ -254,7 +260,7 @@ def cmd_gate(args) -> int:
         rows.append((idx, op.kind.value, op.col,
                      ";".join(str(r) for r in op.input_rows), op.output_row,
                      trace.switched,
-                     int(array.cell(op.output_row, op.col).mag),
+                     int(array.bits[op.output_row, op.col]),
                      trace.energy, all(trace.disturb_ok)))
 
     out_dir = Path(args.out)
@@ -283,6 +289,8 @@ def _variation_from_args(args) -> VariationSpec:
 
 
 def cmd_mc(args) -> int:
+    if args.bins > MAX_BINS:
+        raise ConfigError(f"--bins must be <= {MAX_BINS}")
     vspec = _variation_from_args(args)
     spec = _resolve_spec(args)
     kind = GateKind.parse(args.gate)
@@ -358,6 +366,8 @@ def cmd_sweep(args) -> int:
                           f"choose one of {', '.join(_SWEEP_AXES)}")
     if args.points < 1:
         raise ConfigError("--points must be >= 1")
+    if args.points > MAX_POINTS:
+        raise ConfigError(f"--points must be <= {MAX_POINTS}")
     for flag, value in (("--min", args.lo), ("--max", args.hi)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")

@@ -20,7 +20,6 @@ from .array import (ArraySpec, CellState, MramArray, Topology,
 from .device import (ConfigError, MagState, Polarity, channel_resistance,
                      check_read_disturb, critical_sot_current, mtj_area,
                      switch_decision)
-from .network import NetworkSolution
 
 # Default operating points.
 V_DRIVE_2T1R = 1.1      # read bit-line drive [V]
@@ -158,17 +157,13 @@ class GateOp:
 
 @dataclass(frozen=True)
 class GateTrace:
-    """Everything observable about one executed gate."""
+    """What the ``gate`` command reports of one executed gate."""
 
     op: GateOp
-    solution: NetworkSolution
-    i_crit: float
     switched: bool
     post: MramArray
-    input_currents: tuple
     disturb_ok: tuple
     energy: float
-    v_bl: float | None  # bit-line voltage (voltage-gated scheme only)
 
 
 def check_op_fits(spec: ArraySpec, op: GateOp) -> None:
@@ -180,26 +175,32 @@ def check_op_fits(spec: ArraySpec, op: GateOp) -> None:
         raise GateConfigError(f"column {op.col} out of bounds for {spec.cols}-col array")
 
 
-def solve_gate(topology: Topology, op: GateOp, cells_in, cell_out, v_drive):
-    """Network solve, threshold and switch verdict of one gate.
+def solve_pattern(topology: Topology, op: GateOp, bits, devs_in, dev_out,
+                  v_drive):
+    """Network solve, threshold and switch verdict of one gate: the solver
+    of every gate evaluation.
 
-    Returns (solution, first observable, i_crit, switched); the first
-    observable is the output channel current (2T-1R) or the bit-line
-    voltage (VGSOT), as named by ``OBSERVABLES``. Array-valued drives,
-    cell states or cell parameters give arrays throughout. Raises
-    OverflowError when finite inputs give a non-finite observable or
-    threshold.
+    Input j holds ``bits[j]`` (a bit or bit array) with ``devs_in[j]``
+    (DeviceParams or arrays); the output holds ``op.out_init`` with
+    ``dev_out`` and then reads ``op.out_init ^ switched``. Returns
+    (solution, first observable, i_crit, switched); the first observable
+    is the output channel current (2T-1R) or the bit-line voltage (VGSOT),
+    as named by ``OBSERVABLES``. Array-valued bits, parameters or drives
+    give arrays throughout. Raises OverflowError when finite inputs give a
+    non-finite observable or threshold.
     """
+    cells_in = [CellState(b, dev) for b, dev in zip(bits, devs_in)]
+    cell_out = CellState(op.out_init, dev_out)
     # A non-finite result raises below; numpy's warnings would repeat it.
     with np.errstate(all="ignore"):
         if topology is Topology.TWO_T_ONE_R:
             sol = solve_2t1r_read(cells_in, cell_out, v_drive)
             first = i_drive = sol.current("out")
-            i_crit = critical_sot_current(cell_out.dev, 0.0)
+            i_crit = critical_sot_current(dev_out, 0.0)
         else:
             sol = solve_vgsot_divider(cells_in, cell_out, v_drive)
             first = sol.voltage("bl")
-            i_crit = critical_sot_current(cell_out.dev, first)
+            i_crit = critical_sot_current(dev_out, first)
             i_drive = op.i_sot
     if not (np.isfinite(first).all() and np.isfinite(i_crit).all()):
         raise OverflowError(f"{OBSERVABLES[topology][0]} or i_crit is not "
@@ -208,62 +209,32 @@ def solve_gate(topology: Topology, op: GateOp, cells_in, cell_out, v_drive):
     return sol, first, i_crit, switched
 
 
-def solve_pattern(topology: Topology, op: GateOp, bits, devs_in, dev_out,
-                  v_drive):
-    """:func:`solve_gate` for input bits.
-
-    Input j holds ``bits[j]`` (a bit or bit array) with ``devs_in[j]``
-    (DeviceParams or arrays); the output holds ``op.out_init`` with
-    ``dev_out`` and then reads ``op.out_init ^ switched``.
-    """
-    cells_in = [CellState(b, dev) for b, dev in zip(bits, devs_in)]
-    return solve_gate(topology, op, cells_in, CellState(op.out_init, dev_out),
-                      v_drive)
-
-
 def execute_gate(array: MramArray, op: GateOp) -> GateTrace:
-    """Run one stateful gate and return the full trace.
+    """Run one stateful gate on the array at its nominal parameters.
 
-    The output cell is (re)initialized to ``op.out_init``, the network is
-    solved for the array's topology, and the output switches iff the drive
-    crosses the output cell's critical current with matching polarity.
-    Input cells are never mutated; read-disturb is checked on every input
-    MTJ current and recorded as an advisory verdict.
+    The op's input bits are solved by :func:`solve_pattern` with the output
+    initialized to ``op.out_init``; the output cell then holds
+    ``op.out_init ^ switched``. Input cells are never mutated; read-disturb
+    is checked on every input MTJ current and recorded as an advisory
+    verdict. The energy is a constant-drive estimate over the pulse: the
+    source dissipation |V * I| * pulse (in 2T-1R the read path is the write
+    path), plus in VGSOT the write current's dissipation in the output
+    channel.
     """
     check_op_fits(array.spec, op)
-    topology = array.spec.topology
-    arr = write_cell(array, op.output_row, op.col, op.out_init)
-    cells_in = [arr.cell(r, op.col) for r in op.input_rows]
-    cell_out = arr.cell(op.output_row, op.col)
-
-    sol, first, i_crit, switched = solve_gate(topology, op, cells_in, cell_out,
-                                              op.v_drive)
-    post = write_cell(arr, op.output_row, op.col, MagState(1 - op.out_init)) \
-        if switched else arr
-
-    input_currents = tuple(sol.current(f"in{k}") for k in range(len(cells_in)))
-    disturb_ok = tuple(check_read_disturb(c.dev, i)
-                       for c, i in zip(cells_in, input_currents))
-    energy = gate_energy_from_solution(sol, op, topology, cell_out.dev)
-    return GateTrace(op=op, solution=sol, i_crit=i_crit, switched=switched,
-                     post=post, input_currents=input_currents,
-                     disturb_ok=disturb_ok, energy=energy,
-                     v_bl=first if topology is Topology.VGSOT else None)
-
-
-def gate_energy_from_solution(sol: NetworkSolution, op: GateOp,
-                              topology: Topology, out_dev) -> float:
-    """Constant-drive energy estimate over the pulse.
-
-    2T-1R: the read path is the write path, so the energy is the source
-    dissipation |V * I| * pulse. VGSOT: divider leakage plus the write
-    current's dissipation in the output channel.
-    """
-    if topology is Topology.TWO_T_ONE_R:
-        return abs(op.v_drive * sol.current("out")) * op.pulse
-    leak = abs(op.v_drive * sol.current("out")) * op.pulse
-    write = op.i_sot ** 2 * channel_resistance(out_dev) * op.pulse
-    return leak + write
+    topology, dev = array.spec.topology, array.spec.nominal
+    # Python ints, so that the verdict and energy are Python values too.
+    bits = array.bits[list(op.input_rows), op.col].tolist()
+    sol, _, _, switched = solve_pattern(topology, op, bits,
+                                        (dev,) * op.n_inputs, dev, op.v_drive)
+    post = write_cell(array, op.output_row, op.col, op.out_init ^ switched)
+    disturb_ok = tuple(check_read_disturb(dev, sol.current(f"in{k}"))
+                       for k in range(op.n_inputs))
+    energy = abs(op.v_drive * sol.current("out")) * op.pulse
+    if topology is Topology.VGSOT:
+        energy += op.i_sot ** 2 * channel_resistance(dev) * op.pulse
+    return GateTrace(op=op, switched=switched, post=post,
+                     disturb_ok=disturb_ok, energy=energy)
 
 
 # --- truth tables -------------------------------------------------------------

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -113,13 +113,24 @@ def _csv_column(column):
     return "%s", map(render_number, column)
 
 
-def _table_csv(table: Table, meta: dict) -> str:
-    lines = _meta_lines(meta)
-    lines.append(",".join(table.columns))
-    if _row_count(table):
-        specs, values = zip(*map(_csv_column, table.data))
-        lines += map(",".join(specs).__mod__, zip(*values))
-    return "\n".join(lines) + "\n"
+def _table_csv(table: Table, meta: dict):
+    """The lines of ``table``'s CSV file, each ending in a newline, rendered
+    as they are iterated; the table is checked before the first one."""
+    head = [line + "\n" for line in _meta_lines(meta)]
+    head.append(",".join(table.columns) + "\n")
+    if not _row_count(table):
+        return head
+    specs, values = zip(*map(_csv_column, table.data))
+    return chain(head, map((",".join(specs) + "\n").__mod__, zip(*values)))
+
+
+def _write_chunked(f, texts, size: int = 1024) -> None:
+    """Write the non-empty strings ``texts`` to ``f``, ``size`` at a time:
+    a write per string costs more than joining them, and one joined
+    string would hold the whole text."""
+    texts = iter(texts)
+    while chunk := "".join(islice(texts, size)):
+        f.write(chunk)
 
 
 def emit_csv(bundle: ReportBundle, out_dir, prefix: str):
@@ -137,7 +148,9 @@ def emit_csv(bundle: ReportBundle, out_dir, prefix: str):
     written = []
     for table in (*bundle.tables, *histograms):
         path = out / f"{prefix}_{table.name}.csv"
-        path.write_text(_table_csv(table, bundle.meta))
+        lines = _table_csv(table, bundle.meta)  # checks the table first
+        with path.open("w") as f:
+            _write_chunked(f, lines)
         written.append(path)
     if not written:
         path = out / f"{prefix}_meta.csv"
@@ -177,17 +190,19 @@ def _json_column(column):
     return map(_json_text, column, repeat(_VALUE_DEPTH))
 
 
-def _rows_json(table: Table) -> str:
+def _rows_json(table: Table):
     """The rows of ``table`` as ``json.dumps(indent=2)`` writes them in the
-    document, rendered column by column."""
+    document, rendered column by column: chunks of text, one per row and
+    rendered as they are iterated, then the list's closing bracket."""
     if not _row_count(table):
-        return "[]"
+        return ["[]"]
     outer = "\n" + "  " * (_ROWS_DEPTH + 1)
     inner = "\n" + "  " * _VALUE_DEPTH
     rows = map(("," + inner).join, zip(*map(_json_column, table.data)))
-    return ("[" + outer + "[" + inner
-            + (outer + "]," + outer + "[" + inner).join(rows)
-            + outer + "]" + "\n" + "  " * _ROWS_DEPTH + "]")
+    openers = chain(["[" + outer + "[" + inner],
+                    repeat(outer + "]," + outer + "[" + inner))
+    return chain(map(str.__add__, openers, rows),
+                 [outer + "]" + "\n" + "  " * _ROWS_DEPTH + "]"])
 
 
 def emit_json(bundle: ReportBundle, path) -> Path:
@@ -226,6 +241,6 @@ def emit_json(bundle: ReportBundle, path) -> Path:
         for name, token in zip(names, tokens):
             head, _, text = text.partition(token)
             f.write(head)
-            f.write(_rows_json(tables[name]))
+            _write_chunked(f, _rows_json(tables[name]))
         f.write(text + "\n")
     return path

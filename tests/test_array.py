@@ -177,26 +177,29 @@ def make_array(rows=4, cols=2):
 
 def test_write_then_read():
     arr = write_cell(make_array(), 1, 0, MagState.P)
-    assert arr.cell(1, 0).mag is MagState.P
+    assert arr.bits.tolist() == [[0, 0], [1, 0], [0, 0], [0, 0]]
 
 
 def test_write_idempotent():
     arr = make_array()
     once = write_cell(arr, 2, 1, MagState.P)
     twice = write_cell(once, 2, 1, MagState.P)
-    assert twice.cells == once.cells
+    assert twice is once
+    assert once is not arr
 
 
 def test_overwrite():
     arr = write_cell(make_array(), 0, 0, MagState.P)
     arr = write_cell(arr, 0, 0, MagState.AP)
-    assert arr.cell(0, 0).mag is MagState.AP
+    assert arr.bits[0, 0] == MagState.AP
 
 
 def test_write_does_not_mutate_source_snapshot():
     arr = make_array()
     write_cell(arr, 0, 0, MagState.P)
-    assert arr.cell(0, 0).mag is MagState.AP
+    assert arr.bits[0, 0] == MagState.AP
+    with pytest.raises(ValueError):  # the grid is read-only
+        arr.bits[0, 0] = MagState.P
 
 
 def test_out_of_bounds_write():
@@ -204,6 +207,8 @@ def test_out_of_bounds_write():
         write_cell(make_array(), 9, 0, MagState.P)
     with pytest.raises(IndexError):
         write_cell(make_array(), 0, 5, MagState.P)
+    with pytest.raises(IndexError):  # no wrap-around from the end
+        write_cell(make_array(), -1, 0, MagState.P)
 
 
 def test_spec_validation():
@@ -211,6 +216,9 @@ def test_spec_validation():
         ArraySpec(Topology.TWO_T_ONE_R, 2, 1, DeviceParams.default_2t1r())
     with pytest.raises(ValueError):
         ArraySpec(Topology.TWO_T_ONE_R, 3, 0, DeviceParams.default_2t1r())
+    ArraySpec(Topology.TWO_T_ONE_R, 4096, 4096, DeviceParams.default_2t1r())
+    with pytest.raises(ValueError, match=re.escape("rows * cols <= 16777216")):
+        ArraySpec(Topology.TWO_T_ONE_R, 4096, 4097, DeviceParams.default_2t1r())
 
 
 def test_csv_round_trip():
@@ -221,7 +229,8 @@ def test_csv_round_trip():
     assert text.splitlines()[0] == "rows,cols,topology"
     assert text.splitlines()[1] == "3,3,2t1r"
     back = MramArray.from_csv(text, DeviceParams.default_2t1r())
-    assert back.cells == arr.cells
+    assert back.bits.tolist() == arr.bits.tolist() == \
+        [[0, 1, 0], [0, 0, 0], [0, 0, 1]]
     assert back.spec.topology is Topology.TWO_T_ONE_R
 
 
@@ -239,8 +248,7 @@ def test_csv_rejects_ragged_grid():
 def test_csv_cells_are_exactly_bits():
     text = "rows,cols,topology\n3,2,2t1r\n 1 ,0\n0, 0\n1,1\n"
     back = MramArray.from_csv(text, DeviceParams.default_2t1r())
-    assert [[int(c.mag) for c in row] for row in back.cells] == \
-        [[1, 0], [0, 0], [1, 1]]
+    assert back.bits.tolist() == [[1, 0], [0, 0], [1, 1]]
     for cell in ("2", "-1", "01", "+1", "1.0", "", "x"):
         text = f"rows,cols,topology\n3,2,2t1r\n0,0\n0,{cell}\n0,0\n"
         with pytest.raises(ValueError,

@@ -320,6 +320,16 @@ def test_gate_topology_mismatch(tmp_path, capsys):
      "array CSV row 0: '2' is not a bit"),
     (["gate", "--ops", "{nor_recipe}", "--array", "{negative_array}"],
      "array CSV row 1: '-1' is not a bit"),
+    # Sizes are bounded before anything is allocated; the array's cells
+    # alike from the flags and from an array CSV header.
+    (["gate", "--ops", "{nor_recipe}", "--rows", "1000000000000000"],
+     "array needs rows * cols <= 16777216, got 1000000000000000 x 1"),
+    (["gate", "--ops", "{nor_recipe}", "--array", "{wide_array}"],
+     "array needs rows * cols <= 16777216, got 3 x 100000000"),
+    (["mc", "-n", "5", "--bins", "1000000000000000"],
+     "--bins must be <= 65536"),
+    (["sweep", "--axis", "RA", "--min", "1", "--max", "2",
+      "--points", "1000000000000000"], "--points must be <= 65536"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     files = {"{nan_config}": ("nan.json", '{"TMR0": NaN}'),
@@ -329,7 +339,9 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
              "{nor_recipe}": ("nor.txt", "nor,0,0;1,2\n"),
              "{bad_array}": ("bad.csv", "rows,cols,topology\n3,1,2t1r\n2\n-1\n0\n"),
              "{negative_array}": ("neg.csv",
-                                  "rows,cols,topology\n3,1,2t1r\n0\n-1\n0\n")}
+                                  "rows,cols,topology\n3,1,2t1r\n0\n-1\n0\n"),
+             "{wide_array}": ("wide.csv",
+                              "rows,cols,topology\n3,100000000,2t1r\n0\n0\n0\n")}
     for name, text in files.values():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / files[a][0]) if a in files else a for a in argv]

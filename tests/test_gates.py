@@ -9,8 +9,8 @@ from sotlogic import (ArraySpec, DeviceParams, GateConfigError, GateKind,
                       GateOp, InseparableError, MagState, MramArray, Topology,
                       calibrate_gate, execute_gate, margin_analysis,
                       truth_table, write_cell)
-from sotlogic.gates import (gate_energy_from_solution, parse_gate_ops,
-                            pattern_bits, pattern_label)
+from sotlogic.gates import (parse_gate_ops, pattern_bits, pattern_label,
+                            solve_pattern)
 
 P2 = DeviceParams.default_2t1r()
 PV = DeviceParams.default_vgsot()
@@ -80,9 +80,10 @@ def test_execute_gate_never_mutates_inputs():
     spec, op = calibrated(Topology.TWO_T_ONE_R, GateKind.NOR, 2)
     arr = MramArray.uniform(spec)
     arr = write_cell(arr, 0, 0, MagState.P)
-    before = arr.cells
+    before = arr.bits.tolist()
     trace = execute_gate(arr, op)
-    after = trace.post.cells
+    assert arr.bits.tolist() == before
+    after = trace.post.bits.tolist()
     for r in range(spec.rows):
         if r != op.output_row:
             assert after[r] == before[r]
@@ -93,7 +94,7 @@ def test_post_state_differs_only_at_output():
     arr = MramArray.uniform(spec)
     trace = execute_gate(arr, op)
     diff = [(r, c) for r in range(spec.rows) for c in range(spec.cols)
-            if trace.post.cell(r, c).mag is not arr.cell(r, c).mag]
+            if trace.post.bits[r, c] != arr.bits[r, c]]
     assert all(rc == (op.output_row, op.col) for rc in diff)
 
 
@@ -143,28 +144,32 @@ def test_out_of_bounds_addresses_rejected():
 @pytest.mark.parametrize("kind", list(GateKind))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pattern_walk_equals_execute_gate_on_an_array(topology, kind, n):
-    # Truth tables and margins solve each input pattern directly; an
-    # MramArray holding the pattern, run through execute_gate, is the
-    # reference.
+    # Truth tables and margins solve all input patterns as one array; a
+    # scalar solve_pattern call per pattern is the reference, and an
+    # MramArray holding the pattern, run through execute_gate, gives the
+    # same output bit.
     spec, op = calibrated(topology, kind, n)
     table = truth_table(spec, kind, n, op=op)
     report = margin_analysis(spec, kind, n, op=op)
+    read_current = topology is Topology.TWO_T_ONE_R
     for row, point in zip(table.rows, report.points):
+        sol, first, i_crit, switched = solve_pattern(
+            topology, op, row.bits, (spec.nominal,) * n, spec.nominal,
+            op.v_drive)
+        first_name = "i_out" if read_current else "v_bl"
+        assert row.actual == op.out_init ^ switched
+        assert row.observables == {first_name: first, "i_crit": i_crit}
+        assert point.bits == row.bits
+        assert point.metric == (abs(first) if read_current else i_crit)
+        assert point.v_bl == (None if read_current else first)
+        assert point.max_input_current == max(
+            abs(sol.current(f"in{k}")) for k in range(n))
         arr = MramArray.uniform(spec)
         for r, b in zip(op.input_rows, row.bits):
             arr = write_cell(arr, r, op.col, MagState.from_bit(b))
         trace = execute_gate(arr, op)
-        out = trace.solution.current("out")
-        first = out if topology is Topology.TWO_T_ONE_R else trace.v_bl
-        first_name = "i_out" if topology is Topology.TWO_T_ONE_R else "v_bl"
-        assert row.actual == trace.post.cell(op.output_row, op.col).mag
-        assert row.observables == {first_name: first, "i_crit": trace.i_crit}
-        assert point.bits == row.bits
-        assert point.metric == (abs(out) if topology is Topology.TWO_T_ONE_R
-                                else trace.i_crit)
-        assert point.v_bl == trace.v_bl
-        assert point.max_input_current == max(abs(i)
-                                              for i in trace.input_currents)
+        assert trace.switched == switched
+        assert row.actual == trace.post.bits[op.output_row, op.col]
 
 
 # --- margins -----------------------------------------------------------------------
@@ -292,14 +297,12 @@ def test_energy_linear_in_pulse_and_nonnegative():
     spec, op = calibrated(Topology.TWO_T_ONE_R, GateKind.NOR, 2)
     arr = MramArray.uniform(spec)
     trace = execute_gate(arr, op)
-    out_dev = trace.post.cell(op.output_row, op.col).dev
 
     def energy(pulse):
         scaled = GateOp.for_kind(op.kind, spec.topology, n_inputs=2,
                                  v_drive=op.v_drive, i_sot=op.i_sot,
                                  pulse=pulse)
-        return gate_energy_from_solution(trace.solution, scaled,
-                                         spec.topology, out_dev)
+        return execute_gate(arr, scaled).energy
 
     assert energy(2 * op.pulse) == pytest.approx(2 * trace.energy, rel=1e-12)
     assert energy(0.0) == 0.0

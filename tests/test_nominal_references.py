@@ -9,7 +9,9 @@ it here. The ``mc`` commands of the mc_narrow (CSV) and mc_wide (JSON)
 workloads are checked the same way, which parses both report formats: the
 trials table's size, the summary's agreement with it and the success
 rates. Every command runs with warnings turned into errors, so a numpy
-RuntimeWarning fails it. Nothing under ``benchmarks/`` is written.
+RuntimeWarning fails it. The benchmark's tracer must find every function
+it times, so renaming or deleting one fails here. Nothing under
+``benchmarks/`` is written.
 """
 
 import contextlib
@@ -64,3 +66,12 @@ def test_mc_commands_match_references(tmp_path, workload):
     commands = _load("workloads").build(workload, 1).commands
     assert all(command.mc_trials for command in commands)
     assert _problems(commands, tmp_path) == []
+
+
+def test_tracer_finds_every_traced_layer():
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()  # raises AttributeError for a missing function
+    bound = {(ns.__name__.split(".")[-1], func)
+             for ns, func, _, _ in tracer._bindings}
+    assert set(tracing.LAYERS.values()) <= bound  # its defining module
+    assert len(tracer._bindings) == 30

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from sotlogic import (ArraySpec, DeviceParams, GateKind, MagState, MramArray,
-                      Topology, VariationSpec, calibrate_gate,
-                      critical_sot_current, current_histogram, execute_gate,
-                      mc_tables, run_mc, sample_cell, trial_rng)
-from sotlogic.array import CellState
+from sotlogic import (ArraySpec, DeviceParams, GateKind, Topology,
+                      VariationSpec, calibrate_gate, critical_sot_current,
+                      current_histogram, mc_tables, run_mc, sample_cell,
+                      trial_rng)
+from sotlogic.gates import solve_pattern
 from sotlogic.variation import (BLOCK, TRUNCATION_SIGMA, _pool_size,
                                 block_deviates, sample_block,
                                 truncated_normal)
@@ -146,12 +146,13 @@ def test_zero_variation_reduces_to_nominal_execution():
     spec, op = nor_setup()
     v = VariationSpec(sigma_t_ox=0.0, sigma_t_f=0.0, sigma_tmr=0.0, seed=5)
     result = run_mc(spec, op, 50, v)
-    nominal = execute_gate(MramArray.uniform(spec), op)
+    _, i_out, i_crit, _ = solve_pattern(spec.topology, op, (0, 0),
+                                        (spec.nominal,) * 2, spec.nominal,
+                                        op.v_drive)
     zero = result.pattern((0, 0))
     assert zero.successes == 50
-    assert np.all(zero.observables["i_out"] ==
-                  nominal.solution.current("out"))
-    assert np.all(zero.observables["i_crit"] == nominal.i_crit)
+    assert np.all(zero.observables["i_out"] == i_out)
+    assert np.all(zero.observables["i_crit"] == i_crit)
     for p in result.patterns:
         assert p.successes == p.trials  # calibrated nominal never fails
 
@@ -210,10 +211,10 @@ def test_symmetric_patterns_indistinguishable():
 @pytest.mark.parametrize("kind", list(GateKind))
 @pytest.mark.parametrize("n_inputs", [1, 2, 3])
 def test_kernel_matches_execute_gate_trial_by_trial(topology, kind, n_inputs):
-    # Replay every trial of one block through execute_gate on an array built
-    # from that trial's sampled parameters: verdicts and observables must
-    # agree exactly, since both run the same solver (this also pins the
-    # reversed-polarity OR/AND conventions).
+    # Replay every trial of one block through the scalar solve_pattern call
+    # that execute_gate makes, at that trial's sampled DeviceParams:
+    # verdicts and observables must agree exactly with the batched kernel
+    # (this also pins the reversed-polarity OR/AND conventions).
     params = P2 if topology is Topology.TWO_T_ONE_R \
         else DeviceParams.default_vgsot()
     spec = ArraySpec(topology, max(3, n_inputs + 1), 1, params)
@@ -231,19 +232,12 @@ def test_kernel_matches_execute_gate_trial_by_trial(topology, kind, n_inputs):
             devs = [cell.nominal.replace(**{f: float(getattr(cell, f)[t])
                                             for f, _ in vspec.drawn})
                     for cell in cells]
-            arr = MramArray.uniform(spec)
-            for row, bit, dev in zip(op.input_rows, p.bits, devs):
-                arr = arr.with_cell(row, op.col,
-                                    CellState(MagState.from_bit(bit), dev))
-            arr = arr.with_cell(op.output_row, op.col,
-                                CellState(op.out_init, devs[-1]))
-            trace = execute_gate(arr, op)
-            actual = trace.post.cell(op.output_row, op.col).mag
+            _, observed, i_crit, switched = solve_pattern(
+                topology, op, p.bits, devs[:-1], devs[-1], op.v_drive)
+            actual = op.out_init ^ switched
             assert bool(p.success_flags[t]) == (actual == p.expected)
-            oracle = {"i_out": trace.solution.current("out"),
-                      "v_bl": trace.v_bl, "i_crit": trace.i_crit}
-            for name in (first, "i_crit"):
-                assert p.observables[name][t] == oracle[name]
+            assert p.observables[first][t] == observed
+            assert p.observables["i_crit"][t] == i_crit
             verdicts.add(bool(p.success_flags[t]))
     assert verdicts == {True, False}
 
