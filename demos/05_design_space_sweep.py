@@ -11,8 +11,7 @@ Run: python demos/05_design_space_sweep.py
 import numpy as np
 
 from sotlogic import (ArraySpec, DeviceParams, GateKind, Topology,
-                      critical_sot_current, margin_analysis)
-from sotlogic.gates import worst_input_density
+                      critical_sot_current, margin_analysis, mtj_area)
 
 
 def main():
@@ -27,7 +26,7 @@ def main():
         rep = margin_analysis(spec, GateKind.NOR, 2)
         i_dev = critical_sot_current(params)
         feasible = rep.margin > 0 and rep.hi >= i_dev
-        density = worst_input_density(rep, params)
+        density = max(rep.max_input_current) / mtj_area(params)
         disturb = "ok" if density < params.J_stt_crit else "RISK"
         print(f"  {ra:5.1f}   {rep.margin * 1e6:6.2f}    {rep.hi * 1e6:7.2f}"
               f"     {i_dev * 1e6:6.2f}     {str(feasible):5s}    {disturb}")

@@ -20,11 +20,11 @@ import numpy as np
 
 from .array import ArraySpec, MramArray, Topology
 from .device import (ConfigError, DeviceParams, critical_sot_current,
-                     dump_device_params, load_device_params)
+                     dump_device_params, load_device_params, mtj_area)
 from .gates import (Calibration, GateConfigError, GateKind, GateOp,
                     InseparableError, calibrate_gate, execute_gate,
-                    input_columns, margin_analysis, margin_sweep,
-                    parse_gate_ops, truth_table, worst_input_density)
+                    input_columns, margin_analysis, margin_windows,
+                    parse_gate_ops, pattern_label, truth_table)
 from .report import Table, config_digest, emit_csv, emit_json, make_bundle
 from .variation import (BLOCK, RNG_STREAM, CellArrays, VariationSpec,
                         mc_tables, run_mc)
@@ -39,11 +39,13 @@ CONFIG_ENV = "SOTLOGIC_CONFIG"
 # patterns, so --inputs is bounded before anything is allocated.
 MAX_INPUTS = 8
 # Size limits, checked before anything is allocated: a sweep solves and
-# reports one row per point, a histogram one row per bin. The cells of a
-# gate array (--rows x --cols, or an array CSV header) are bounded by
+# reports one row per point, a histogram one row per bin, and an MC
+# campaign keeps every trial of every pattern. The cells of a gate array
+# (--rows x --cols, or an array CSV header) are bounded by
 # ``array.MAX_CELLS``.
 MAX_POINTS = 2 ** 16
 MAX_BINS = 2 ** 16
+MAX_TRIALS = 2 ** 24
 
 _SWEEP_AXES = tuple(f.name for f in dataclasses.fields(DeviceParams))
 
@@ -178,9 +180,7 @@ def _calibrated_setup(args, spec: ArraySpec, kind: GateKind):
                          v_drive=args.v_drive)
     cal_spec, cal_op = cal.apply(spec)
     if args.pulse is not None:
-        cal_op = GateOp.for_kind(kind, spec.topology, n_inputs=args.inputs,
-                                 v_drive=cal_op.v_drive, i_sot=cal_op.i_sot,
-                                 pulse=args.pulse)
+        cal_op = dataclasses.replace(cal_op, pulse=args.pulse)
     return cal_spec, cal_op, cal
 
 
@@ -289,8 +289,12 @@ def _variation_from_args(args) -> VariationSpec:
 
 
 def cmd_mc(args) -> int:
+    if args.bins < 1:
+        raise ConfigError("--bins must be >= 1")
     if args.bins > MAX_BINS:
         raise ConfigError(f"--bins must be <= {MAX_BINS}")
+    if args.trials > MAX_TRIALS:
+        raise ConfigError(f"--trials must be <= {MAX_TRIALS}")
     vspec = _variation_from_args(args)
     spec = _resolve_spec(args)
     kind = GateKind.parse(args.gate)
@@ -320,12 +324,12 @@ def cmd_margin(args) -> int:
     op = GateOp.for_kind(kind, spec.topology, n_inputs=args.inputs, **overrides)
     report = margin_analysis(spec, kind, args.inputs, op=op)
 
-    rows = [(p.label, p.must_switch, p.metric,
-             p.v_bl if p.v_bl is not None else "", p.max_input_current)
-            for p in report.points]
-    patterns = Table("patterns",
-                     ("pattern", "must_switch", "metric", "v_bl",
-                      "max_input_current"), tuple(zip(*rows)))
+    patterns = Table("patterns", ("pattern", "must_switch", "metric", "v_bl",
+                                  "max_input_current"),
+                     ([pattern_label(bits) for bits in report.bits],
+                      report.must_switch, report.metric,
+                      report.v_bl or [""] * len(report.bits),
+                      report.max_input_current))
     summary = Table("summary",
                     ("lo", "hi", "margin", "relative_margin"),
                     ((report.lo,), (report.hi,), (report.margin,),
@@ -375,35 +379,44 @@ def cmd_sweep(args) -> int:
     kind = GateKind.parse(args.gate)
     op = GateOp.for_kind(kind, spec.topology, n_inputs=args.inputs,
                          **_op_overrides(args))
-    values = np.linspace(args.lo, args.hi, args.points).tolist()
+    values = np.linspace(args.lo, args.hi, args.points)
+    for value in values.tolist():  # every value is checked before any solve
+        spec.nominal.replace(**{args.axis: value})
 
-    rows = []
+    lo, hi, max_input = np.empty((3, args.points))
     step = max(1, BLOCK >> args.inputs)  # points x patterns <= BLOCK
-    for start in range(0, len(values), step):
-        chunk = values[start:start + step]
-        # DeviceParams checks each value before its points are solved.
-        points = [spec.nominal.replace(**{args.axis: value}) for value in chunk]
-        column = CellArrays(spec.nominal, **{args.axis: np.array(chunk)[:, None]})
-        reports = margin_sweep(spec, kind, args.inputs, op, column, len(chunk))
-        for value, params, report in zip(chunk, points, reports):
-            density = worst_input_density(report, params)
-            disturb_ok = density < params.J_stt_crit
-            i_dev = critical_sot_current(params, 0.0)
-            feasible = report.margin > 0.0
-            if spec.topology is Topology.TWO_T_ONE_R:
-                # Feasible when the weakest must-switch current still
-                # exceeds the device threshold at the configured calibration.
-                feasible = feasible and report.hi >= i_dev
-            rows.append((value, report.lo, report.hi, report.margin,
-                         report.relative_margin, i_dev, density, disturb_ok,
-                         feasible))
-    boundary = next((f"{a[0]:g}..{b[0]:g}" for a, b in zip(rows, rows[1:])
-                     if a[-1] != b[-1]), "none")
+    for start in range(0, args.points, step):
+        part = slice(start, start + step)
+        # Slices broadcast the scalar windows of an axis the network ignores.
+        *_, max_in, lo[part], hi[part] = margin_windows(
+            spec, kind, args.inputs, op,
+            CellArrays(spec.nominal, **{args.axis: values[part, None]}))
+        max_input[part] = max_in.max(-1)
+    column = CellArrays(spec.nominal, **{args.axis: values})
+    # Python floats overflow to inf without a warning; so do these columns.
+    with np.errstate(all="ignore"):
+        margin = hi - lo
+        midpoint = 0.5 * (lo + hi)
+        relative_margin = np.where(midpoint > 0.0, margin / midpoint, 0.0)
+        i_dev = np.broadcast_to(critical_sot_current(column, 0.0), lo.shape)
+        density = max_input / mtj_area(column)
+    if not np.isfinite(density).all():  # e.g. an MTJ area that underflows
+        raise OverflowError("worst_input_density is not finite")
+    feasible = margin > 0.0
+    if spec.topology is Topology.TWO_T_ONE_R:
+        # Feasible when the weakest must-switch current still exceeds the
+        # device threshold at the configured calibration.
+        feasible &= hi >= i_dev
+    data = [x.tolist() for x in (values, lo, hi, margin, relative_margin, i_dev,
+                                 density, density < column.J_stt_crit, feasible)]
+    values, feasible = data[0], data[-1]
+    boundary = next((f"{a:g}..{b:g}" for a, b, was, now in zip(
+        values, values[1:], feasible, feasible[1:]) if was != now), "none")
     columns = (args.axis, "lo", "hi", "margin", "relative_margin",
                "i_crit_device", "worst_input_density", "disturb_ok", "feasible")
     bundle = make_bundle(_meta(args, spec, {"axis": args.axis,
                                             "boundary": boundary}),
-                         tables=[Table("sweep", columns, tuple(zip(*rows)))])
+                         tables=[Table("sweep", columns, tuple(data))])
     paths = _emit(args, bundle, "sweep")
     print(f"sweep {args.axis} in [{args.lo}, {args.hi}] x{args.points} "
           f"[{spec.topology.value} {kind.value}]: boundary={boundary} "

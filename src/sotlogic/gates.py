@@ -18,7 +18,7 @@ import numpy as np
 from .array import (ArraySpec, CellState, MramArray, Topology,
                     solve_2t1r_read, solve_vgsot_divider, write_cell)
 from .device import (ConfigError, MagState, Polarity, channel_resistance,
-                     check_read_disturb, critical_sot_current, mtj_area,
+                     check_read_disturb, critical_sot_current,
                      switch_decision)
 
 # Default operating points.
@@ -325,19 +325,6 @@ def truth_table(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
 # --- margins and calibration ---------------------------------------------------
 
 @dataclass(frozen=True)
-class PatternPoint:
-    bits: tuple
-    must_switch: bool
-    metric: float            # |I_out| (2T-1R) or effective I_c (VGSOT)
-    v_bl: float | None
-    max_input_current: float
-
-    @property
-    def label(self) -> str:
-        return pattern_label(self.bits)
-
-
-@dataclass(frozen=True)
 class MarginReport:
     """Separation between the worst must-switch and must-not-switch cases.
 
@@ -345,6 +332,11 @@ class MarginReport:
     min must-switch current); for the voltage-gated scheme it is
     (max must-switch I_c, min no-switch I_c). ``margin`` = hi - lo; a
     nonpositive margin means no threshold realizes the truth table.
+
+    The per-pattern values are columns in pattern-index order: the input
+    bits, whether the output must switch, the metric (|I_out| in 2T-1R,
+    effective I_c in VGSOT), the bit-line voltage (None in 2T-1R) and the
+    largest input MTJ current.
     """
 
     topology: Topology
@@ -353,7 +345,11 @@ class MarginReport:
     v_drive: float
     lo: float
     hi: float
-    points: tuple
+    bits: list
+    must_switch: list
+    metric: list
+    v_bl: list | None
+    max_input_current: list
 
     @property
     def margin(self) -> float:
@@ -368,8 +364,8 @@ class MarginReport:
         return self.margin / self.midpoint if self.midpoint > 0.0 else 0.0
 
 
-def _windows(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
-             op: GateOp | None, dev=None, v_drive=None):
+def margin_windows(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
+                   op: GateOp | None, dev=None, v_drive=None):
     """One :func:`_solve_patterns` solve as margin arrays: the op, the
     must-switch mask, metric, first observable and largest input current
     per pattern (last axis), and the window (lo, hi) over the patterns."""
@@ -387,31 +383,17 @@ def _windows(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
     return op, must, metric, first, max_input, lo, hi
 
 
-def margin_sweep(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
-                 op: GateOp | None, dev, points: int) -> list:
-    """:func:`margin_analysis` at ``points`` parameter sets, in one solve.
-
-    ``dev`` holds the swept fields as columns of ``points`` values each
-    (:class:`.variation.CellArrays`), so the sets are the leading axis.
-    """
-    op, must, *observed, lo, hi = _windows(array_spec, kind, n_inputs, op, dev)
-    patterns = list(zip(_patterns(n_inputs), must.tolist()))
-    shape = (points, len(patterns))
-    read_current = array_spec.topology is Topology.TWO_T_ONE_R
-    return [MarginReport(
-        array_spec.topology, kind, n_inputs, op.v_drive, lo_k, hi_k,
-        tuple(PatternPoint(bits, m, x, None if read_current else v, i)
-              for (bits, m), x, v, i in zip(patterns, *rows)))
-        for lo_k, hi_k, *rows in zip(
-            *(np.broadcast_to(x, shape[:1]).tolist() for x in (lo, hi)),
-            *(np.broadcast_to(x, shape).tolist() for x in observed))]
-
-
 def margin_analysis(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
                     op: GateOp | None = None) -> MarginReport:
     """Compute the separating window and per-pattern analog observables."""
-    return margin_sweep(array_spec, kind, n_inputs, op, array_spec.nominal,
-                        1)[0]
+    op, must, metric, first, max_input, lo, hi = margin_windows(
+        array_spec, kind, n_inputs, op)
+    v_bl = None if array_spec.topology is Topology.TWO_T_ONE_R \
+        else first.tolist()
+    return MarginReport(array_spec.topology, kind, n_inputs, op.v_drive,
+                        lo.item(), hi.item(), _patterns(n_inputs),
+                        must.tolist(), metric.tolist(), v_bl,
+                        max_input.tolist())
 
 
 @dataclass(frozen=True)
@@ -472,8 +454,8 @@ def calibrate_gate(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
     read_current = array_spec.topology is Topology.TWO_T_ONE_R
     drives = base_op.v_drive * np.array([1.0] if read_current
                                         else _V_SCAN_SCALES)
-    *_, lo, hi = _windows(array_spec, kind, n_inputs, base_op,
-                          v_drive=drives[:, None])
+    *_, lo, hi = margin_windows(array_spec, kind, n_inputs, base_op,
+                                v_drive=drives[:, None])
     margins = hi - lo
     # Keep the base drive when it separates, else the first widest window.
     k = 0 if margins[0] > 0.0 else int(np.argmax(margins))
@@ -502,13 +484,6 @@ def calibrate_gate(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
                        i_sot=base_op.i_sot if read_current
                        else _drive_sign(kind) * target,
                        v_drive=drives[k].item())
-
-
-# --- disturb summary ------------------------------------------------------------
-
-def worst_input_density(report: MarginReport, params) -> float:
-    """Largest input MTJ current density over all patterns, in A/m^2."""
-    return max(p.max_input_current for p in report.points) / mtj_area(params)
 
 
 # --- gate recipe files -----------------------------------------------------------

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sotlogic import (ArraySpec, DeviceParams, GateKind, GateOp, Topology,
-                      critical_sot_current, margin_analysis)
+                      cli, critical_sot_current, gates, margin_analysis,
+                      mtj_area)
 from sotlogic.cli import _COMMANDS, MAX_INPUTS, build_parser, main
-from sotlogic.gates import worst_input_density
 
 
 def read_table(path):
@@ -147,6 +147,16 @@ def test_mc_spanning_two_blocks_worker_invariant(tmp_path):
     assert len(rows) == 2 * 4099
 
 
+def test_mc_checks_bins_before_sampling(tmp_path, capsys, monkeypatch):
+    def run_mc(*args, **kwargs):
+        raise AssertionError("the campaign ran before --bins was checked")
+
+    monkeypatch.setattr(cli, "run_mc", run_mc)
+    assert main(["mc", "-n", "200000", "--bins", "0",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "--bins must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, field", [(["--sigma", "nan"], "sigma_t_ox"),
                                           (["--sigma-ra", "inf"], "sigma_ra")])
 def test_mc_rejects_non_finite_sigma(tmp_path, capsys, flags, field):
@@ -184,7 +194,11 @@ SWEEPS = [("2t1r", "nor", 2, "RA", 10.0, 10.0, 1),
           ("vgsot", "nor", 1, "J_stt_crit", 1e9, 1e11, 2),
           # More points than one solve takes at this fan-in.
           ("2t1r", "nor", 8, "RA", 5.0, 50.0, 20),
-          ("vgsot", "and", 7, "TMR0", 0.5, 1.5, 40)]
+          ("vgsot", "and", 7, "TMR0", 0.5, 1.5, 40),
+          # ... of axes no network value depends on, so that each solve
+          # returns scalar windows.
+          ("2t1r", "nor", 8, "Ic_cal", 0.5, 1.5, 20),
+          ("vgsot", "and", 7, "J_stt_crit", 1e9, 1e11, 40)]
 
 
 def test_single_point_sweep_matches_margin_analysis(tmp_path):
@@ -209,13 +223,28 @@ def test_single_point_sweep_matches_margin_analysis(tmp_path):
                                      kind, n, GateOp.for_kind(kind, topo,
                                                               n_inputs=n))
             i_dev = critical_sot_current(params, 0.0)
-            density = worst_input_density(report, params)
+            density = max(report.max_input_current) / mtj_area(params)
             feasible = report.margin > 0.0 and (
                 topo is Topology.VGSOT or report.hi >= i_dev)
             assert row == [value, report.lo, report.hi, report.margin,
                            report.relative_margin, i_dev, density,
                            density < params.J_stt_crit, feasible], \
                 (topology, axis, value)
+
+
+def test_sweep_values_are_checked_before_any_solve(tmp_path, capsys,
+                                                   monkeypatch):
+    # Two solves of 16 points at 8 inputs; only the last point is invalid.
+    def solve(*args, **kwargs):
+        raise AssertionError("a sweep point was solved before every value "
+                             "was checked")
+
+    monkeypatch.setattr(gates, "solve_pattern", solve)
+    assert main(["sweep", "--inputs", "8", "--axis", "R_on", "--min", "3000",
+                 "--max", "-1", "--points", "20",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "R_on must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_unknown_axis(tmp_path, capsys):
@@ -330,6 +359,10 @@ def test_gate_topology_mismatch(tmp_path, capsys):
      "--bins must be <= 65536"),
     (["sweep", "--axis", "RA", "--min", "1", "--max", "2",
       "--points", "1000000000000000"], "--points must be <= 65536"),
+    (["mc", "-n", "1000000000000"], "--trials must be <= 16777216"),
+    # An MTJ area that underflows to 0 leaves no current density.
+    (["sweep", "--axis", "D", "--min", "1e-300", "--max", "1e-9"],
+     "numeric overflow"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     files = {"{nan_config}": ("nan.json", '{"TMR0": NaN}'),

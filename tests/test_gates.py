@@ -152,17 +152,19 @@ def test_pattern_walk_equals_execute_gate_on_an_array(topology, kind, n):
     table = truth_table(spec, kind, n, op=op)
     report = margin_analysis(spec, kind, n, op=op)
     read_current = topology is Topology.TWO_T_ONE_R
-    for row, point in zip(table.rows, report.points):
+    assert report.bits == [row.bits for row in table.rows]
+    assert report.v_bl is None if read_current else len(report.v_bl) == 2 ** n
+    for index, row in enumerate(table.rows):
         sol, first, i_crit, switched = solve_pattern(
             topology, op, row.bits, (spec.nominal,) * n, spec.nominal,
             op.v_drive)
         first_name = "i_out" if read_current else "v_bl"
         assert row.actual == op.out_init ^ switched
         assert row.observables == {first_name: first, "i_crit": i_crit}
-        assert point.bits == row.bits
-        assert point.metric == (abs(first) if read_current else i_crit)
-        assert point.v_bl == (None if read_current else first)
-        assert point.max_input_current == max(
+        assert report.metric[index] == (abs(first) if read_current else i_crit)
+        if not read_current:
+            assert report.v_bl[index] == first
+        assert report.max_input_current[index] == max(
             abs(sol.current(f"in{k}")) for k in range(n))
         arr = MramArray.uniform(spec)
         for r, b in zip(op.input_rows, row.bits):
@@ -199,10 +201,12 @@ def test_zero_tmr_kills_margin():
 
 
 def test_margin_points_cover_all_patterns():
+    # One value per pattern in every column, in pattern-index order.
     report = margin_analysis(spec_for(Topology.VGSOT, 2), GateKind.NOR, 2)
-    assert sorted(p.label for p in report.points) == ["00", "01", "10", "11"]
-    assert [p.must_switch for p in sorted(report.points, key=lambda q: q.label)] \
-        == [False, True, True, True]
+    assert [pattern_label(b) for b in report.bits] == ["00", "01", "10", "11"]
+    assert report.must_switch == [False, True, True, True]
+    for column in (report.metric, report.v_bl, report.max_input_current):
+        assert len(column) == 4 and all(type(x) is float for x in column)
 
 
 # --- calibration ------------------------------------------------------------------------
