@@ -40,9 +40,9 @@ CONFIG_ENV = "SOTLOGIC_CONFIG"
 MAX_INPUTS = 8
 # Size limits, checked before anything is allocated: a sweep solves and
 # reports one row per point, a histogram one row per bin, and an MC
-# campaign keeps every trial of every pattern. The cells of a gate array
-# (--rows x --cols, or an array CSV header) are bounded by
-# ``array.MAX_CELLS``.
+# campaign keeps every trial of every pattern (trials x 2^inputs). The
+# cells of a gate array (--rows x --cols, or an array CSV header) are
+# bounded by ``array.MAX_CELLS``.
 MAX_POINTS = 2 ** 16
 MAX_BINS = 2 ** 16
 MAX_TRIALS = 2 ** 24
@@ -92,7 +92,7 @@ def _mc_flags(p) -> None:
     p.add_argument("--sigma-tmr", type=float, default=0.03)
     p.add_argument("--sigma-ra", type=float, default=0.0)
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (capped at the CPU count)")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--bins", type=int, default=32)
 
 
@@ -293,13 +293,14 @@ def cmd_mc(args) -> int:
         raise ConfigError("--bins must be >= 1")
     if args.bins > MAX_BINS:
         raise ConfigError(f"--bins must be <= {MAX_BINS}")
-    if args.trials > MAX_TRIALS:
-        raise ConfigError(f"--trials must be <= {MAX_TRIALS}")
     vspec = _variation_from_args(args)
     spec = _resolve_spec(args)
+    if args.trials * 2 ** args.inputs > MAX_TRIALS:
+        raise ConfigError(f"--trials x 2^inputs must be <= {MAX_TRIALS}, got "
+                          f"{args.trials} x {2 ** args.inputs}")
     kind = GateKind.parse(args.gate)
     spec, op, cal = _calibrated_setup(args, spec, kind)
-    result = run_mc(spec, op, args.trials, vspec, n_workers=args.workers)
+    result = run_mc(spec, op, args.trials, vspec)
 
     summary, trials, histogram, hist = mc_tables(result, args.bins)
     extra = _calibration_meta(cal, op)
@@ -452,7 +453,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OverflowError as exc:  # finite inputs too large to compute with
+    # Finite inputs too large, or too small (an MTJ area that underflows
+    # to 0), to compute with.
+    except (OverflowError, ZeroDivisionError) as exc:
         print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

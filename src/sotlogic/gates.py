@@ -70,10 +70,6 @@ def boolean_output(kind: GateKind, bits) -> int:
     return int(all(bits))
 
 
-def required_out_init(kind: GateKind) -> MagState:
-    return MagState.P if kind in (GateKind.NOR, GateKind.NAND) else MagState.AP
-
-
 def switch_polarity(kind: GateKind) -> Polarity:
     return Polarity.P_TO_AP if kind in (GateKind.NOR, GateKind.NAND) \
         else Polarity.AP_TO_P
@@ -100,7 +96,6 @@ class GateOp:
     v_drive: float
     i_sot: float = I_SOT_DEFAULT
     pulse: float = PULSE_DEFAULT
-    out_init: MagState | None = None  # None: derived from the gate kind
 
     def __post_init__(self):
         object.__setattr__(self, "input_rows", tuple(self.input_rows))
@@ -110,12 +105,6 @@ class GateOp:
             raise GateConfigError("input rows must be distinct")
         if self.output_row in self.input_rows:
             raise GateConfigError("output row must be disjoint from input rows")
-        if self.out_init is None:
-            object.__setattr__(self, "out_init", required_out_init(self.kind))
-        elif self.out_init is not required_out_init(self.kind):
-            raise GateConfigError(
-                f"{self.kind.value} requires out_init="
-                f"{required_out_init(self.kind).name}")
         for name in ("v_drive", "i_sot", "pulse"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -126,6 +115,12 @@ class GateOp:
     @property
     def n_inputs(self) -> int:
         return len(self.input_rows)
+
+    @property
+    def out_init(self) -> MagState:
+        """Output state before the gate: P for NOR/NAND, AP for OR/AND."""
+        return MagState.P if self.kind in (GateKind.NOR, GateKind.NAND) \
+            else MagState.AP
 
     @classmethod
     def for_kind(cls, kind: GateKind, topology: Topology,
@@ -151,8 +146,7 @@ class GateOp:
         if i_sot is None:
             i_sot = sign * I_SOT_DEFAULT
         return cls(kind=kind, input_rows=input_rows, output_row=output_row,
-                   col=col, v_drive=v_drive, i_sot=i_sot, pulse=pulse,
-                   out_init=required_out_init(kind))
+                   col=col, v_drive=v_drive, i_sot=i_sot, pulse=pulse)
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,19 @@
 """Process-variation sampling and Monte-Carlo gate campaigns.
 
-Campaigns run in blocks of ``BLOCK`` trials per input pattern. Each
-(pattern, block) pair draws all of its deviates from one counter-based
-Philox stream keyed by (seed, pattern index << 32 | block index) -- random
-stream 2 -- and evaluates the whole block as array operations, so
-campaigns are bit-reproducible independent of execution order and worker
-count. Device mismatch and process variation are collapsed into
-independent per-cell sampling; the varied quantities are the oxide
-thickness, the free-layer thickness and the TMR ratio (plus an optional RA
-knob for sensitivity studies).
+Campaigns run in one process, in blocks of ``BLOCK`` trials per input
+pattern. Each (pattern, block) pair draws all of its deviates from one
+counter-based Philox stream keyed by (seed, pattern index << 32 | block
+index) -- random stream 2 -- and evaluates the whole block as array
+operations, so campaigns are bit-reproducible. Device mismatch and
+process variation are collapsed into independent per-cell sampling; the
+varied quantities are the oxide thickness, the free-layer thickness and
+the TMR ratio (plus an optional RA knob for sensitivity studies).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +25,7 @@ from .gates import (OBSERVABLES, GateOp, boolean_output, check_op_fits,
 from .report import HistogramTable, Table
 
 RNG_STREAM = 2        # version of the stream layout, recorded in reports
-BLOCK = 4096          # trials per random stream; never depends on workers
+BLOCK = 4096          # trials per random stream; part of the stream layout
 TRUNCATION_SIGMA = 4.0
 _MAX_INDEX = 2 ** 32
 
@@ -195,10 +191,6 @@ class MCResult:
     patterns: tuple  # of PatternStats, in pattern-index order
 
     @property
-    def seed(self) -> int:
-        return self.variation.seed
-
-    @property
     def primary_observable(self) -> str:
         # Output channel current in the read-current scheme; the effective
         # threshold in the voltage-gated one (its failures are threshold-side).
@@ -212,39 +204,30 @@ class MCResult:
 
 
 def _run_block(array_spec: ArraySpec, op: GateOp, spec: VariationSpec,
-               n: int, task: tuple):
-    """Sample and execute trials [block * BLOCK, ...) of one pattern.
+               pattern_index: int, block: int, rows: int):
+    """Sample and execute trials [block * BLOCK, ... + rows) of one pattern.
 
     Draws the block's deviates and runs the per-trial cell parameters
     through :func:`.gates.solve_pattern`, the solver of every gate.
-    Returns (success flags, observables stacked in ``OBSERVABLES`` order).
+    Returns (success flags, observables in ``OBSERVABLES`` order).
     """
-    pattern_index, block = task
-    rows = min(BLOCK, n - block * BLOCK)
     bits = pattern_bits(pattern_index, op.n_inputs)
     z = block_deviates(spec, pattern_index, block, rows, op.n_inputs + 1)
     *devs_in, dev_out = sample_block(array_spec.nominal, spec, z)
     _, first, i_crit, switched = solve_pattern(array_spec.topology, op, bits,
                                                devs_in, dev_out, op.v_drive)
-    observables = np.stack([first, i_crit])
     success = (op.out_init ^ switched) == boolean_output(op.kind, bits)
-    return success, observables
+    return success, (first, i_crit)
 
 
-def _pool_size(requested: int, n_tasks: int) -> int:
-    """Worker processes for a campaign: capped by the CPUs and the tasks."""
-    return max(1, min(requested, os.cpu_count() or 1, n_tasks))
-
-
-def run_mc(array_spec: ArraySpec, op: GateOp, n: int, spec: VariationSpec,
-           n_workers: int = 1) -> MCResult:
+def run_mc(array_spec: ArraySpec, op: GateOp, n: int,
+           spec: VariationSpec) -> MCResult:
     """Monte-Carlo campaign: n independent trials per input pattern.
 
     Each trial resamples every participating cell, executes the gate, and
     counts success iff the output matches the gate's boolean value. Trials
-    run in (pattern, block) tasks of up to ``BLOCK`` trials, in process or
-    on a pool of at most ``n_workers`` processes; the result is
-    bit-identical for any ``n_workers``.
+    run in blocks of up to ``BLOCK`` per pattern, each written into its
+    slice of one (patterns, trials) array per quantity.
     """
     if n < 1:
         raise ValueError("need at least one trial")
@@ -252,26 +235,19 @@ def run_mc(array_spec: ArraySpec, op: GateOp, n: int, spec: VariationSpec,
     names = OBSERVABLES[array_spec.topology]
 
     n_patterns = 2 ** op.n_inputs
-    n_blocks = -(-n // BLOCK)  # ceil division
-    tasks = [(p, b) for p in range(n_patterns) for b in range(n_blocks)]
-    kernel = functools.partial(_run_block, array_spec, op, spec, n)
-    workers = _pool_size(n_workers, len(tasks))
-    if workers == 1:
-        parts = [kernel(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(kernel, tasks))  # in task order
-
+    flags = np.empty((n_patterns, n), dtype=bool)
+    data = np.empty((len(names), n_patterns, n))
     patterns = []
     for p in range(n_patterns):
-        own = parts[p * n_blocks:(p + 1) * n_blocks]
-        flags = np.concatenate([part[0] for part in own])
-        data = np.concatenate([part[1] for part in own], axis=1)
+        for block, start in enumerate(range(0, n, BLOCK)):
+            part = slice(start, start + BLOCK)
+            flags[p, part], data[:, p, part] = _run_block(
+                array_spec, op, spec, p, block, min(BLOCK, n - start))
         bits = pattern_bits(p, op.n_inputs)
         patterns.append(PatternStats(
             bits=bits, expected=boolean_output(op.kind, bits), trials=n,
-            successes=int(flags.sum()), success_flags=flags,
-            observables=dict(zip(names, data))))
+            successes=int(flags[p].sum()), success_flags=flags[p],
+            observables=dict(zip(names, data[:, p]))))
     return MCResult(topology=array_spec.topology, op=op, variation=spec,
                     trials=n, patterns=tuple(patterns))
 
@@ -287,7 +263,6 @@ class HistogramReport:
     unintentional switching in the read-current scheme.
     """
 
-    observable: str
     bin_edges: np.ndarray
     counts: dict  # pattern label -> np.ndarray of per-bin counts
     overlap_fraction: float
@@ -320,8 +295,8 @@ def current_histogram(result: MCResult, bins: int = 32) -> HistogramReport:
         overlap = float(np.mean(values > reference))
     else:
         overlap = 0.0
-    return HistogramReport(observable=observable, bin_edges=edges,
-                           counts=counts, overlap_fraction=overlap)
+    return HistogramReport(bin_edges=edges, counts=counts,
+                           overlap_fraction=overlap)
 
 
 # --- CSV-shaped exports ------------------------------------------------------------

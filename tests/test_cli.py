@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -145,6 +148,19 @@ def test_mc_spanning_two_blocks_worker_invariant(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     _, rows = read_table(a / "mc_trials.csv")
     assert len(rows) == 2 * 4099
+
+
+def test_mc_with_workers_starts_no_process_pool(tmp_path):
+    argv = ["mc", "-n", "20", "--workers", "2", "--out", str(tmp_path / "o")]
+    code = ("import sys\n"
+            "from sotlogic.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'}"
+            " & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_mc_checks_bins_before_sampling(tmp_path, capsys, monkeypatch):
@@ -359,15 +375,23 @@ def test_gate_topology_mismatch(tmp_path, capsys):
      "--bins must be <= 65536"),
     (["sweep", "--axis", "RA", "--min", "1", "--max", "2",
       "--points", "1000000000000000"], "--points must be <= 65536"),
-    (["mc", "-n", "1000000000000"], "--trials must be <= 16777216"),
-    # An MTJ area that underflows to 0 leaves no current density.
+    # A campaign keeps trials x 2^inputs samples of each quantity.
+    (["mc", "-n", "1000000000000"],
+     "--trials x 2^inputs must be <= 16777216, got 1000000000000 x 4"),
+    # An MTJ area that underflows to 0 leaves no current density, and no
+    # resistance to divide by.
     (["sweep", "--axis", "D", "--min", "1e-300", "--max", "1e-9"],
      "numeric overflow"),
+    (["margin", "--config", "{d_config}"], "numeric overflow"),
+    (["mc", "-n", "5", "--config", "{d_config}"], "numeric overflow"),
+    (["mc", "-n", "16777216", "--inputs", "8"],
+     "--trials x 2^inputs must be <= 16777216, got 16777216 x 256"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     files = {"{nan_config}": ("nan.json", '{"TMR0": NaN}'),
              "{ms_config}": ("ms.json", '{"Ms": 1e200}'),
              "{ki0_config}": ("ki0.json", '{"Ki0": 1e-9}'),
+             "{d_config}": ("d.json", '{"D": 1e-300}'),
              "{recipe}": ("recipe.txt", "nor,0,0;1,2,,1e300\n"),
              "{nor_recipe}": ("nor.txt", "nor,0,0;1,2\n"),
              "{bad_array}": ("bad.csv", "rows,cols,topology\n3,1,2t1r\n2\n-1\n0\n"),

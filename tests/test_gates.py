@@ -121,9 +121,6 @@ def test_invalid_ops_rejected():
     with pytest.raises(GateConfigError):
         GateOp(kind=GateKind.NOR, input_rows=(0, 1), output_row=1, col=0,
                v_drive=1.1)
-    with pytest.raises(GateConfigError):  # OR must initialize AP
-        GateOp(kind=GateKind.OR, input_rows=(0, 1), output_row=2, col=0,
-               v_drive=-1.1, out_init=MagState.P)
 
 
 def test_out_of_bounds_addresses_rejected():

@@ -1,7 +1,6 @@
 """Sampling determinism, Monte-Carlo campaigns, and histogram statistics."""
 
 import itertools
-import os
 
 import numpy as np
 import pytest
@@ -12,9 +11,8 @@ from sotlogic import (ArraySpec, DeviceParams, GateKind, Topology,
                       current_histogram, mc_tables, run_mc, sample_cell,
                       trial_rng)
 from sotlogic.gates import solve_pattern
-from sotlogic.variation import (BLOCK, TRUNCATION_SIGMA, _pool_size,
-                                block_deviates, sample_block,
-                                truncated_normal)
+from sotlogic.variation import (BLOCK, TRUNCATION_SIGMA, block_deviates,
+                                sample_block, truncated_normal)
 
 P2 = DeviceParams.default_2t1r()
 
@@ -127,14 +125,6 @@ def test_same_seed_bit_identical():
     assert results_equal(run_mc(spec, op, 300, v), run_mc(spec, op, 300, v))
 
 
-def test_worker_count_does_not_change_results():
-    spec, op = nor_setup()
-    v = VariationSpec(seed=321)
-    serial = run_mc(spec, op, 150, v, n_workers=1)
-    pooled = run_mc(spec, op, 150, v, n_workers=3)
-    assert results_equal(serial, pooled)
-
-
 def test_different_seed_changes_results():
     spec, op = nor_setup()
     a = run_mc(spec, op, 200, VariationSpec(seed=1))
@@ -245,30 +235,16 @@ def test_kernel_matches_execute_gate_trial_by_trial(topology, kind, n_inputs):
 def test_campaign_spanning_blocks_is_worker_independent():
     spec, op = nor_setup()
     v = VariationSpec(seed=4242)
-    serial = run_mc(spec, op, BLOCK + 3, v, n_workers=1)
-    pooled = run_mc(spec, op, BLOCK + 3, v, n_workers=3)
-    for a, b in zip(serial.patterns, pooled.patterns):
-        assert a.trials == b.trials == BLOCK + 3
-        assert a.success_flags.shape == (BLOCK + 3,)
-        assert a.success_flags.tobytes() == b.success_flags.tobytes()
-        for name in a.observables:
-            assert a.observables[name].shape == (BLOCK + 3,)
-            assert a.observables[name].tobytes() == b.observables[name].tobytes()
+    result = run_mc(spec, op, BLOCK + 3, v)
+    for p in result.patterns:
+        assert p.trials == BLOCK + 3
+        assert p.success_flags.shape == (BLOCK + 3,)
+        for name in p.observables:
+            assert p.observables[name].shape == (BLOCK + 3,)
     # Trials past the first block come from the stream of block 1.
     out_cell = sample_block(spec.nominal, v, block_deviates(v, 0, 1, 3, 3))[-1]
-    assert np.array_equal(serial.patterns[0].observables["i_crit"][BLOCK:],
+    assert np.array_equal(result.patterns[0].observables["i_crit"][BLOCK:],
                           critical_sot_current(out_cell, 0.0))
-
-
-def test_pool_size_is_capped_without_starting_processes():
-    cpus = os.cpu_count() or 1
-    assert _pool_size(10 ** 9, 10 ** 6) == cpus
-    assert _pool_size(10 ** 9, 3) == min(cpus, 3)
-    assert _pool_size(2, 10) == min(2, cpus)
-    assert _pool_size(1, 10) == 1
-    assert _pool_size(0, 10) == 1
-    assert _pool_size(-5, 10) == 1
-    assert _pool_size(8, 1) == 1
 
 
 def test_trial_rows_are_plain_python_values():
