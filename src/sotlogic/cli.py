@@ -21,10 +21,10 @@ import numpy as np
 from .array import ArraySpec, MramArray, Topology
 from .device import (ConfigError, DeviceParams, critical_sot_current,
                      dump_device_params, load_device_params, mtj_area)
-from .gates import (Calibration, GateConfigError, GateKind, GateOp,
-                    InseparableError, calibrate_gate, execute_gate,
-                    input_columns, margin_analysis, margin_windows,
-                    parse_gate_ops, pattern_label, truth_table)
+from .gates import (Calibration, GateKind, GateOp, InseparableError,
+                    calibrate_gate, execute_gate, input_columns,
+                    margin_analysis, margin_windows, parse_gate_ops,
+                    pattern_label, truth_table)
 from .report import Table, config_digest, emit_csv, emit_json, make_bundle
 from .variation import (BLOCK, RNG_STREAM, CellArrays, VariationSpec,
                         mc_tables, run_mc)
@@ -353,8 +353,8 @@ def cmd_calibrate(args) -> int:
                "operating_point", "ic_cal", "i_sot", "v_drive")
     row = (cal.topology.value, cal.kind.value, cal.n_inputs,
            cal.margin_fraction, cal.lo, cal.hi, cal.operating_point,
-           cal.ic_cal if cal.ic_cal is not None else "",
-           cal.i_sot if cal.i_sot is not None else "", cal.v_drive)
+           cal.ic_cal if cal.ic_cal is not None else "", cal.i_sot,
+           cal.v_drive)
     bundle = make_bundle(_meta(args, spec), tables=[
         Table("calibration", columns, tuple(zip(row)))])
     paths = _emit(args, bundle, "calibrate")
@@ -380,8 +380,15 @@ def cmd_sweep(args) -> int:
     kind = GateKind.parse(args.gate)
     op = GateOp.for_kind(kind, spec.topology, n_inputs=args.inputs,
                          **_op_overrides(args))
-    values = np.linspace(args.lo, args.hi, args.points)
-    for value in values.tolist():  # every value is checked before any solve
+    # A span past the largest float gives nan values, raised below.
+    with np.errstate(all="ignore"):
+        values = np.linspace(args.lo, args.hi, args.points)
+    if not np.isfinite(values).all():
+        raise OverflowError("--max - --min is not finite")
+    # Every value is checked before any solve: each field rule (finite,
+    # > 0, >= 0, <= 1) holds on an interval, and linspace stays between
+    # its ends, so the two ends decide.
+    for value in values[[0, -1]].tolist():
         spec.nominal.replace(**{args.axis: value})
 
     lo, hi, max_input = np.empty((3, args.points))
@@ -447,9 +454,7 @@ def main(argv=None) -> int:
     except InseparableError as exc:
         print(f"error: inseparable: {exc}", file=sys.stderr)
         return EXIT_LOGIC
-    except (ConfigError, GateConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # ConfigError and GateConfigError are ValueErrors.
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -182,9 +182,7 @@ def switch_decision(i_applied, i_crit, polarity: Polarity):
     Switch iff the current direction matches the requested transition and
     |i_applied| >= i_crit (ties switch). Elementwise when given arrays.
     """
-    direction_ok = i_applied > 0.0 if polarity is Polarity.P_TO_AP \
-        else i_applied < 0.0
-    return direction_ok & (abs(i_applied) >= i_crit)
+    return (polarity.value * i_applied > 0) & (abs(i_applied) >= i_crit)
 
 
 def check_read_disturb(p: DeviceParams, i_mtj: float) -> bool:

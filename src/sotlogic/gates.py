@@ -9,7 +9,9 @@ drive polarity.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,6 +52,12 @@ class GateKind(str, Enum):
         except ValueError:
             raise ValueError(f"unknown gate kind {text!r}")
 
+    @property
+    def polarity(self) -> Polarity:
+        """The output's transition: P->AP for NOR/NAND, AP->P for OR/AND."""
+        return Polarity.P_TO_AP if self in (GateKind.NOR, GateKind.NAND) \
+            else Polarity.AP_TO_P
+
 
 class GateConfigError(ValueError):
     """Gate operation is inconsistent with the array it targets."""
@@ -59,24 +67,13 @@ class InseparableError(RuntimeError):
     """No threshold separates the must-switch and must-not-switch cases."""
 
 
-def boolean_output(kind: GateKind, bits) -> int:
-    """Ideal boolean value of the gate for the given input bits."""
-    if kind is GateKind.NOR:
-        return int(not any(bits))
-    if kind is GateKind.OR:
-        return int(any(bits))
-    if kind is GateKind.NAND:
-        return int(not all(bits))
-    return int(all(bits))
-
-
-def switch_polarity(kind: GateKind) -> Polarity:
-    return Polarity.P_TO_AP if kind in (GateKind.NOR, GateKind.NAND) \
-        else Polarity.AP_TO_P
-
-
-def _drive_sign(kind: GateKind) -> float:
-    return 1.0 if kind in (GateKind.NOR, GateKind.NAND) else -1.0
+def boolean_output(kind: GateKind, bits):
+    """Ideal boolean value of the gate for the given input bits (ints, or
+    bit arrays elementwise)."""
+    combine = operator.or_ if kind in (GateKind.NOR, GateKind.OR) \
+        else operator.and_
+    inverted = kind in (GateKind.NOR, GateKind.NAND)
+    return functools.reduce(combine, bits) ^ inverted
 
 
 @dataclass(frozen=True)
@@ -118,8 +115,8 @@ class GateOp:
 
     @property
     def out_init(self) -> MagState:
-        """Output state before the gate: P for NOR/NAND, AP for OR/AND."""
-        return MagState.P if self.kind in (GateKind.NOR, GateKind.NAND) \
+        """Output state before the gate: the start of its transition."""
+        return MagState.P if self.kind.polarity is Polarity.P_TO_AP \
             else MagState.AP
 
     @classmethod
@@ -137,7 +134,7 @@ class GateOp:
         input_rows = tuple(input_rows)
         if output_row is None:
             output_row = max(input_rows) + 1
-        sign = _drive_sign(kind)
+        sign = kind.polarity.value
         if v_drive is None:
             base = V_DRIVE_2T1R if topology is Topology.TWO_T_ONE_R else V_DRIVE_VGSOT
             # Only the 2T-1R read drive reverses; the VGSOT input divider
@@ -153,7 +150,6 @@ class GateOp:
 class GateTrace:
     """What the ``gate`` command reports of one executed gate."""
 
-    op: GateOp
     switched: bool
     post: MramArray
     disturb_ok: tuple
@@ -199,7 +195,7 @@ def solve_pattern(topology: Topology, op: GateOp, bits, devs_in, dev_out,
     if not (np.isfinite(first).all() and np.isfinite(i_crit).all()):
         raise OverflowError(f"{OBSERVABLES[topology][0]} or i_crit is not "
                             "finite; an input is too large to compute with")
-    switched = switch_decision(i_drive, i_crit, switch_polarity(op.kind))
+    switched = switch_decision(i_drive, i_crit, op.kind.polarity)
     return sol, first, i_crit, switched
 
 
@@ -227,8 +223,8 @@ def execute_gate(array: MramArray, op: GateOp) -> GateTrace:
     energy = abs(op.v_drive * sol.current("out")) * op.pulse
     if topology is Topology.VGSOT:
         energy += op.i_sot ** 2 * channel_resistance(dev) * op.pulse
-    return GateTrace(op=op, switched=switched, post=post,
-                     disturb_ok=disturb_ok, energy=energy)
+    return GateTrace(switched=switched, post=post, disturb_ok=disturb_ok,
+                     energy=energy)
 
 
 # --- truth tables -------------------------------------------------------------
@@ -263,9 +259,6 @@ class TruthRow:
 
 @dataclass(frozen=True)
 class TruthTable:
-    topology: Topology
-    kind: GateKind
-    op: GateOp
     rows: tuple
 
     @property
@@ -312,8 +305,7 @@ def truth_table(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
                  {first_name: f, crit_name: c})
         for bits, f, c, s in zip(_patterns(n_inputs), first.tolist(),
                                  i_crit.tolist(), switched.tolist()))
-    return TruthTable(topology=array_spec.topology, kind=kind, op=op,
-                      rows=rows)
+    return TruthTable(rows)
 
 
 # --- margins and calibration ---------------------------------------------------
@@ -333,9 +325,6 @@ class MarginReport:
     largest input MTJ current.
     """
 
-    topology: Topology
-    kind: GateKind
-    n_inputs: int
     v_drive: float
     lo: float
     hi: float
@@ -366,8 +355,8 @@ def margin_windows(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
     op, (sol, first, i_crit, _) = _solve_patterns(array_spec, kind, n_inputs,
                                                   op, dev, v_drive)
     read_current = array_spec.topology is Topology.TWO_T_ONE_R
-    must = np.array([boolean_output(kind, bits) != op.out_init
-                     for bits in _patterns(n_inputs)])
+    must = boolean_output(kind, pattern_bits(np.arange(2 ** n_inputs),
+                                             n_inputs)) != op.out_init
     metric = abs(first) if read_current else i_crit
     switch, hold = metric[..., must], metric[..., ~must]
     lo, hi = (hold.max(-1), switch.min(-1)) if read_current \
@@ -384,8 +373,7 @@ def margin_analysis(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
         array_spec, kind, n_inputs, op)
     v_bl = None if array_spec.topology is Topology.TWO_T_ONE_R \
         else first.tolist()
-    return MarginReport(array_spec.topology, kind, n_inputs, op.v_drive,
-                        lo.item(), hi.item(), _patterns(n_inputs),
+    return MarginReport(op.v_drive, lo.item(), hi.item(), _patterns(n_inputs),
                         must.tolist(), metric.tolist(), v_bl,
                         max_input.tolist())
 
@@ -408,7 +396,7 @@ class Calibration:
     hi: float
     operating_point: float
     ic_cal: float | None     # read-current scheme: threshold scale factor
-    i_sot: float | None      # voltage-gated scheme: signed write current
+    i_sot: float             # signed write current (calibrated in VGSOT)
     v_drive: float
 
     def apply(self, array_spec: ArraySpec) -> tuple:
@@ -476,7 +464,7 @@ def calibrate_gate(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
                        lo=lo, hi=hi, operating_point=target,
                        ic_cal=target / base_ic if read_current else None,
                        i_sot=base_op.i_sot if read_current
-                       else _drive_sign(kind) * target,
+                       else kind.polarity.value * target,
                        v_drive=drives[k].item())
 
 

@@ -88,12 +88,16 @@ def trial_rng(seed: int, pattern_index: int, trial_index: int) -> np.random.Gene
     return _philox(seed, pattern_index, trial_index)
 
 
-def truncated_normal(rng: np.random.Generator) -> float:
-    """Standard normal deviate, redrawn until within +/- 4 sigma."""
-    z = rng.standard_normal()
-    while abs(z) > TRUNCATION_SIGMA:
-        z = rng.standard_normal()
-    return float(z)
+def _truncated_deviates(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard normals of ``shape``; entries beyond +/- 4 sigma are
+    redrawn in row-major order from the same stream until none is left."""
+    z = rng.standard_normal(shape)
+    flat = z.reshape(-1)
+    bad = (abs(flat) > TRUNCATION_SIGMA).nonzero()[0]
+    while bad.size:
+        flat[bad] = rng.standard_normal(bad.size)
+        bad = bad[abs(flat[bad]) > TRUNCATION_SIGMA]
+    return z
 
 
 def sample_cell(nominal: DeviceParams, spec: VariationSpec,
@@ -101,11 +105,13 @@ def sample_cell(nominal: DeviceParams, spec: VariationSpec,
     """Draw one cell's parameters; deterministic given the stream state.
 
     Draw order is fixed (t_ox, t_f, TMR0, then RA when enabled) so streams
-    stay comparable across configurations.
+    stay comparable across configurations. Given ``trial_rng(s, p, t)``,
+    this is the one cell of a one-trial block of stream (p, t).
     """
+    z = _truncated_deviates(rng, len(spec.drawn)).tolist()
     return nominal.replace(**{
-        field: getattr(nominal, field) * (1.0 + sigma * truncated_normal(rng))
-        for field, sigma in spec.drawn})
+        field: getattr(nominal, field) * (1.0 + sigma * dz)
+        for (field, sigma), dz in zip(spec.drawn, z)})
 
 
 def block_deviates(spec: VariationSpec, pattern_index: int, block_index: int,
@@ -113,18 +119,10 @@ def block_deviates(spec: VariationSpec, pattern_index: int, block_index: int,
     """Truncated standard normals of one (pattern, block) stream.
 
     Shape (rows, cells, draws): one row per trial, cells in input order
-    then the output cell, draws in ``spec.drawn`` order. Entries beyond
-    +/- 4 sigma are redrawn in row-major order from the same stream until
-    none is left.
+    then the output cell, draws in ``spec.drawn`` order.
     """
-    rng = _philox(spec.seed, pattern_index, block_index)
-    z = rng.standard_normal((rows, cells, len(spec.drawn)))
-    flat = z.reshape(-1)
-    bad = np.flatnonzero(np.abs(flat) > TRUNCATION_SIGMA)
-    while bad.size:
-        flat[bad] = rng.standard_normal(bad.size)
-        bad = bad[np.abs(flat[bad]) > TRUNCATION_SIGMA]
-    return z
+    return _truncated_deviates(_philox(spec.seed, pattern_index, block_index),
+                               (rows, cells, len(spec.drawn)))
 
 
 class CellArrays:
@@ -182,13 +180,14 @@ class PatternStats:
 
 @dataclass
 class MCResult:
-    """Aggregated Monte-Carlo campaign for one gate operation."""
+    """Monte-Carlo campaign for one gate operation, as (patterns, trials)
+    arrays in pattern-index order; ``patterns`` holds their rows."""
 
     topology: Topology
     op: GateOp
-    variation: VariationSpec
-    trials: int
-    patterns: tuple  # of PatternStats, in pattern-index order
+    success: np.ndarray  # bool verdicts
+    observables: dict    # name -> float array
+    patterns: tuple      # of PatternStats
 
     @property
     def primary_observable(self) -> str:
@@ -248,8 +247,9 @@ def run_mc(array_spec: ArraySpec, op: GateOp, n: int,
             bits=bits, expected=boolean_output(op.kind, bits), trials=n,
             successes=int(flags[p].sum()), success_flags=flags[p],
             observables=dict(zip(names, data[:, p]))))
-    return MCResult(topology=array_spec.topology, op=op, variation=spec,
-                    trials=n, patterns=tuple(patterns))
+    return MCResult(topology=array_spec.topology, op=op, success=flags,
+                    observables=dict(zip(names, data)),
+                    patterns=tuple(patterns))
 
 
 # --- histograms -----------------------------------------------------------------
@@ -272,29 +272,17 @@ def current_histogram(result: MCResult, bins: int = 32) -> HistogramReport:
     """Histogram the campaign's primary observable over fixed-width bins."""
     if bins < 1:
         raise ValueError("need at least one bin")
-    observable = result.primary_observable
-    series = {p.label: np.asarray(p.observables[observable])
-              for p in result.patterns}
-    if not series or any(len(v) == 0 for v in series.values()):
-        raise ValueError("result has no sampled observables")
-
-    pooled = np.concatenate(list(series.values()))
-    lo, hi = float(pooled.min()), float(pooled.max())
+    values = result.observables[result.primary_observable]
+    lo, hi = float(values.min()), float(values.max())
     if hi <= lo:  # degenerate (e.g. zero variation): one occupied bin
         pad = max(abs(lo) * 1e-9, 1e-30)
         lo, hi = lo - pad, lo + pad
     edges = np.linspace(lo, hi, bins + 1)
-    counts = {label: np.histogram(values, bins=edges)[0]
-              for label, values in series.items()}
-
-    zero = next((p for p in result.patterns if not any(p.bits)), None)
-    singles = [p for p in result.patterns if sum(p.bits) == 1]
-    if zero is not None and singles:
-        reference = min(float(np.min(p.observables[observable])) for p in singles)
-        values = np.asarray(zero.observables[observable])
-        overlap = float(np.mean(values > reference))
-    else:
-        overlap = 0.0
+    counts = {p.label: np.histogram(row, bins=edges)[0]
+              for p, row in zip(result.patterns, values)}
+    # Pattern 0 is all zeros; pattern 2^j has input j alone set.
+    singles = values[[2 ** j for j in range(result.op.n_inputs)]]
+    overlap = float(np.mean(values[0] > singles.min()))
     return HistogramReport(bin_edges=edges, counts=counts,
                            overlap_fraction=overlap)
 
@@ -319,13 +307,12 @@ def mc_tables(result: MCResult, bins: int = 32):
                           ["OUT", "trials", "successes", "success_rate"]),
                     tuple(zip(*summary_rows)))
 
-    obs_names = sorted(patterns[0].observables)
+    obs_names = sorted(result.observables)
     chain = itertools.chain.from_iterable
     data = (list(chain(itertools.repeat(p.label, p.trials) for p in patterns)),
             list(chain(range(p.trials) for p in patterns)),
-            *(np.concatenate([p.observables[n] for p in patterns]).tolist()
-              for n in obs_names),
-            np.concatenate([p.success_flags for p in patterns]).tolist())
+            *(result.observables[name].ravel().tolist() for name in obs_names),
+            result.success.ravel().tolist())
     trials = Table("trials",
                    tuple(["pattern", "trial"] + obs_names + ["success"]), data)
 

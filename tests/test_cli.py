@@ -11,15 +11,16 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sotlogic import (ArraySpec, DeviceParams, GateKind, GateOp, Topology,
-                      cli, critical_sot_current, gates, margin_analysis,
-                      mtj_area)
+from sotlogic import (ArraySpec, ConfigError, DeviceParams, GateKind,
+                      GateOp, Topology, cli, critical_sot_current, gates,
+                      margin_analysis, mtj_area)
 from sotlogic.cli import _COMMANDS, MAX_INPUTS, build_parser, main
 
 
@@ -263,6 +264,46 @@ def test_sweep_values_are_checked_before_any_solve(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+class _Checked(Exception):
+    """Raised by the first sweep solve: every value passed its check."""
+
+
+_SWEEP_ENDS = st.one_of(st.floats(-2.0, 2.0),
+                        st.sampled_from([0.0, -0.0, 1.0, 5e-324]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(axis=st.sampled_from(cli._SWEEP_AXES), lo=_SWEEP_ENDS, hi=_SWEEP_ENDS,
+       points=st.integers(1, 300))
+def test_sweep_end_check_agrees_with_checking_every_value(axis, lo, hi,
+                                                          points):
+    # The oracle is the check the sweep made before it checked only the
+    # ends: every value in turn, stopping at the first that fails.
+    with np.errstate(all="ignore"):
+        values = np.linspace(lo, hi, points)
+    assume(np.isfinite(values).all())  # an overflowing span has its own row
+    try:
+        for value in values.tolist():
+            DeviceParams.default_2t1r().replace(**{axis: value})
+        expected = None
+    except ConfigError as exc:
+        expected = f"error: {exc}\n"
+    err = io.StringIO()
+    with mock.patch.object(cli, "margin_windows", side_effect=_Checked), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(["sweep", "--axis", axis, f"--min={lo!r}",
+                         f"--max={hi!r}", "--points", str(points),
+                         "--out", "never-written"])
+        except _Checked:
+            code = None
+    if expected is None:
+        assert code is None
+    else:
+        assert (code, err.getvalue()) == (2, expected)
+
+
 def test_sweep_unknown_axis(tmp_path, capsys):
     assert main(["sweep", "--axis", "XX", "--min", "0", "--max", "1",
                  "--out", str(tmp_path / "o")]) == 2
@@ -386,6 +427,9 @@ def test_gate_topology_mismatch(tmp_path, capsys):
     (["mc", "-n", "5", "--config", "{d_config}"], "numeric overflow"),
     (["mc", "-n", "16777216", "--inputs", "8"],
      "--trials x 2^inputs must be <= 16777216, got 16777216 x 256"),
+    # Both ends are finite, but the span between them is not.
+    (["sweep", "--axis", "beta", "--min=-1.7e308", "--max=1.7e308"],
+     "numeric overflow"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     files = {"{nan_config}": ("nan.json", '{"TMR0": NaN}'),

@@ -3,12 +3,13 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from sotlogic import (ArraySpec, DeviceParams, GateConfigError, GateKind,
                       GateOp, InseparableError, MagState, MramArray, Topology,
-                      calibrate_gate, execute_gate, margin_analysis,
-                      truth_table, write_cell)
+                      boolean_output, calibrate_gate, execute_gate,
+                      margin_analysis, truth_table, write_cell)
 from sotlogic.gates import (parse_gate_ops, pattern_bits, pattern_label,
                             solve_pattern)
 
@@ -56,6 +57,17 @@ def test_truth_tables_match_boolean_oracle(topology, kind, n):
     for row in table.rows:
         assert row.actual == reference_truth(kind, row.bits), \
             f"{kind.value} {row.bits}"
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_boolean_output_is_elementwise_on_bit_arrays(kind, n):
+    patterns = [pattern_bits(index, n) for index in range(2 ** n)]
+    values = [boolean_output(kind, bits) for bits in patterns]
+    assert values == [reference_truth(kind, bits) for bits in patterns]
+    assert {type(v) for v in values} == {int}
+    columns = pattern_bits(np.arange(2 ** n), n)
+    assert boolean_output(kind, columns).tolist() == values
 
 
 @pytest.mark.parametrize("topology", list(Topology))

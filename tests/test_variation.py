@@ -12,7 +12,7 @@ from sotlogic import (ArraySpec, DeviceParams, GateKind, Topology,
                       trial_rng)
 from sotlogic.gates import solve_pattern
 from sotlogic.variation import (BLOCK, TRUNCATION_SIGMA, block_deviates,
-                                sample_block, truncated_normal)
+                                sample_block)
 
 P2 = DeviceParams.default_2t1r()
 
@@ -84,9 +84,27 @@ def test_block_deviates_layout():
 
 
 def test_truncation_bounds_deviates():
+    # 7000 cells of 3 draws from one stream; about one deviate in 16 000
+    # lies beyond 4 sigma and is redrawn.
+    spec = VariationSpec(seed=5)
     rng = trial_rng(5, 0, 0)
-    zs = [truncated_normal(rng) for _ in range(20_000)]
-    assert max(abs(z) for z in zs) <= TRUNCATION_SIGMA
+    cells = [sample_cell(P2, spec, rng) for _ in range(7000)]
+    zs = np.array([[getattr(c, f) / getattr(P2, f) - 1.0 for f, _ in spec.drawn]
+                   for c in cells]) / 0.03
+    assert np.abs(zs).max() <= TRUNCATION_SIGMA * (1 + 1e-9)
+    assert np.abs(zs).max() > 3.5
+
+
+def test_sample_cell_is_one_trial_of_the_block_sampler():
+    # trial_rng(s, p, t) is the stream of block t of pattern p, so one cell
+    # drawn from it equals the one-trial, one-cell block. Trial 13921 (and
+    # 17973, 18058) redraws a deviate beyond 4 sigma.
+    spec = VariationSpec(seed=99)
+    for t in [*range(100), 13921, 17973, 18058]:
+        cell = sample_cell(P2, spec, trial_rng(99, 0, t))
+        block = sample_block(P2, spec, block_deviates(spec, 0, t, 1, 1))[0]
+        assert [getattr(cell, f) for f, _ in spec.drawn] == \
+            [getattr(block, f).item() for f, _ in spec.drawn], t
 
 
 def test_variation_spec_validation():
@@ -111,12 +129,9 @@ def test_variation_spec_rejects_non_finite_sigma(name, value):
 # --- Monte-Carlo campaigns -----------------------------------------------------------
 
 def results_equal(a, b):
-    return all(
-        pa.successes == pb.successes and
-        np.array_equal(pa.success_flags, pb.success_flags) and
-        all(np.array_equal(pa.observables[k], pb.observables[k])
-            for k in pa.observables)
-        for pa, pb in zip(a.patterns, b.patterns))
+    return np.array_equal(a.success, b.success) and all(
+        np.array_equal(a.observables[k], b.observables[k])
+        for k in a.observables)
 
 
 def test_same_seed_bit_identical():
@@ -236,11 +251,15 @@ def test_campaign_spanning_blocks_is_worker_independent():
     spec, op = nor_setup()
     v = VariationSpec(seed=4242)
     result = run_mc(spec, op, BLOCK + 3, v)
-    for p in result.patterns:
+    assert result.success.shape == (4, BLOCK + 3)
+    for values in result.observables.values():
+        assert values.shape == (4, BLOCK + 3)
+    for index, p in enumerate(result.patterns):
         assert p.trials == BLOCK + 3
-        assert p.success_flags.shape == (BLOCK + 3,)
-        for name in p.observables:
-            assert p.observables[name].shape == (BLOCK + 3,)
+        assert p.successes == result.success[index].sum()
+        assert np.shares_memory(p.success_flags, result.success)
+        for name, values in p.observables.items():
+            assert np.array_equal(values, result.observables[name][index])
     # Trials past the first block come from the stream of block 1.
     out_cell = sample_block(spec.nominal, v, block_deviates(v, 0, 1, 3, 3))[-1]
     assert np.array_equal(result.patterns[0].observables["i_crit"][BLOCK:],
