@@ -9,9 +9,9 @@ Two array organizations are supported:
   voltage to the input rows so the floating bit-line settles to a divider
   voltage that gates the output cell's switching threshold.
 
-The per-topology solvers here are hand-derived series/parallel forms; the
-tests cross-check them against a general nodal solver. Unselected cells
-are treated as disconnected (access transistors fully off).
+Both topologies solve one hand-derived divider, closed to ground by a
+different element; tests cross-check it against a general nodal solver.
+Unselected cells are treated as disconnected (access transistors off).
 """
 
 from __future__ import annotations
@@ -148,6 +148,23 @@ def write_cell(array: MramArray, row: int, col: int, state: MagState) -> MramArr
 # patterns, trials, sweep points, drive-scan steps), computed elementwise:
 # every gate evaluation shares this one copy of the arithmetic.
 
+def _solve_divider(r_in, r_out, v, source: str, node: str) -> NetworkSolution:
+    """Both schemes' network: ``source``, driven at ``v``, feeds the input
+    resistances ``r_in`` in parallel into the floating ``node``, which one
+    element ``r_out`` closes to ground."""
+    if not r_in:
+        raise ValueError("need at least one input cell")
+    r_par = 1.0 / sum(1.0 / r for r in r_in)  # conductances summed in order
+    v_node = v * r_out / (r_out + r_par)
+    i_total = v / (r_par + r_out)
+    branches = [Branch(f"in{k}", source, node, (v - v_node) / r)
+                for k, r in enumerate(r_in)]
+    branches.append(Branch("out", node, GROUND, i_total))
+    branches.append(Branch("source", source, GROUND, -i_total))
+    return NetworkSolution(node_voltages={source: v, node: v_node},
+                           branches=tuple(branches))
+
+
 def solve_2t1r_read(cells_in, cell_out: CellState, v_rbl: float) -> NetworkSolution:
     """Read-current network: inputs drive the output cell's SOT channel.
 
@@ -159,20 +176,9 @@ def solve_2t1r_read(cells_in, cell_out: CellState, v_rbl: float) -> NetworkSolut
     Branch names: ``in0``, ``in1``, ... (input MTJ currents, for disturb
     checks), ``out`` (output channel current) and ``source``.
     """
-    if not cells_in:
-        raise ValueError("need at least one input cell")
     r_in = [c.dev.R_on + mtj_resistance(c.dev, c.mag) for c in cells_in]
     r_out = cell_out.dev.R_on + channel_resistance(cell_out.dev)
-    r_par = 1.0 / sum(1.0 / r for r in r_in)  # conductances summed in order
-    i_total = v_rbl / (r_par + r_out)
-    v_sl = i_total * r_out
-
-    branches = [Branch(f"in{k}", "rbl", "sl", (v_rbl - v_sl) / r)
-                for k, r in enumerate(r_in)]
-    branches.append(Branch("out", "sl", GROUND, i_total))
-    branches.append(Branch("source", "rbl", GROUND, -i_total))
-    return NetworkSolution(node_voltages={"rbl": v_rbl, "sl": v_sl},
-                           branches=tuple(branches))
+    return _solve_divider(r_in, r_out, v_rbl, "rbl", "sl")
 
 
 def solve_vgsot_divider(cells_in, cell_out: CellState, v_in: float) -> NetworkSolution:
@@ -183,17 +189,6 @@ def solve_vgsot_divider(cells_in, cell_out: CellState, v_in: float) -> NetworkSo
     grounded) closes the divider to ground. Returns the bit-line voltage
     at node ``bl`` and the leakage current through every MTJ.
     """
-    if not cells_in:
-        raise ValueError("need at least one input cell")
     r_in = [mtj_resistance(c.dev, c.mag) for c in cells_in]
     r_out = mtj_resistance(cell_out.dev, cell_out.mag)
-    r_par = 1.0 / sum(1.0 / r for r in r_in)  # conductances summed in order
-    v_bl = v_in * r_out / (r_out + r_par)
-    i_total = v_in / (r_par + r_out)
-
-    branches = [Branch(f"in{k}", "wbl", "bl", (v_in - v_bl) / r)
-                for k, r in enumerate(r_in)]
-    branches.append(Branch("out", "bl", GROUND, i_total))
-    branches.append(Branch("source", "wbl", GROUND, -i_total))
-    return NetworkSolution(node_voltages={"wbl": v_in, "bl": v_bl},
-                           branches=tuple(branches))
+    return _solve_divider(r_in, r_out, v_in, "wbl", "bl")

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -208,39 +208,28 @@ def _rows_json(table: Table):
 def emit_json(bundle: ReportBundle, path) -> Path:
     """Write the whole bundle as one hierarchical document, keys sorted.
 
-    The text is that of ``json.dumps(doc, sort_keys=True, indent=2)``. The
-    document is encoded with a placeholder string for each table's rows,
-    and each table's rows are rendered and written in place of theirs.
+    The text is that of ``json.dumps(doc, sort_keys=True, indent=2)`` for
+    ``doc`` = {"histograms", "meta", "tables"}. The skeleton is written here,
+    each value at its depth, and each table's rows are streamed in place.
     """
     tables = {t.name: t for t in bundle.tables}
     names = sorted(tables)
-    doc = {
-        "meta": dict(bundle.meta),
-        "histograms": {
-            h.name: {"bin_edges": list(h.bin_edges),
-                     "series": {label: list(counts)
-                                for label, counts in h.series}}
-            for h in bundle.histograms
-        },
-    }
-    # Placeholders are salted anew until each occurs in the text exactly
-    # once, so no string of the bundle is taken for one.
-    for salt in count():
-        placeholders = [f"\0rows {salt}.{i}" for i in range(len(names))]
-        doc["tables"] = {
-            name: {"columns": list(tables[name].columns), "rows": placeholder}
-            for name, placeholder in zip(names, placeholders)
-        }
-        text = json.dumps(doc, sort_keys=True, indent=2)
-        tokens = [json.dumps(placeholder) for placeholder in placeholders]
-        if all(text.count(token) == 1 for token in tokens):
-            break
+    histograms = {
+        h.name: {"bin_edges": list(h.bin_edges),
+                 "series": {label: list(counts) for label, counts in h.series}}
+        for h in bundle.histograms}
+    head = ('{\n  "histograms": ' + _json_text(histograms, 1) +
+            ',\n  "meta": ' + _json_text(bundle.meta, 1) + ',\n  "tables": {')
+    table_heads = [f'\n    {_json_text(name, 2)}: {{\n      "columns": '
+                   f'{_json_text(list(tables[name].columns), 3)},\n      "rows": '
+                   for name in names]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
-        for name, token in zip(names, tokens):
-            head, _, text = text.partition(token)
-            f.write(head)
+        f.write(head)
+        for k, (name, table_head) in enumerate(zip(names, table_heads)):
+            f.write(("," if k else "") + table_head)
             _write_chunked(f, _rows_json(tables[name]))
-        f.write(text + "\n")
+            f.write("\n    }")
+        f.write("\n  }\n}\n" if names else "}\n}\n")
     return path

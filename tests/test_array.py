@@ -9,10 +9,12 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sotlogic import (ArraySpec, CellState, DeviceParams, MagState, MramArray,
-                      Topology, solve_2t1r_read, solve_vgsot_divider,
-                      write_cell)
+                      Topology, channel_resistance, mtj_resistance,
+                      solve_2t1r_read, solve_vgsot_divider, write_cell)
 
 from nodal_oracle import ResistiveNetwork, solve_general
 
@@ -158,6 +160,40 @@ def test_general_solver_reproduces_divider(bits):
     general = general_divider_net(bits, 1.5)
     assert general.voltage("bl") == pytest.approx(closed.voltage("bl"), rel=1e-9)
     assert general.current("out") == pytest.approx(closed.current("out"), rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+       out_bit=st.integers(0, 1), r_on=st.floats(0.0, 5e3),
+       ra=st.floats(1.0, 1000.0), tmr0=st.floats(0.0, 3.0),
+       v=st.floats(0.1, 2.0), sign=st.sampled_from((-1.0, 1.0)))
+def test_both_networks_match_the_nodal_oracle(bits, out_bit, r_on, ra, tmr0,
+                                              v, sign):
+    # The cell resistances come from the device model; the network
+    # arithmetic is what is checked.
+    dev = DeviceParams.default_2t1r().replace(R_on=r_on, RA=ra, TMR0=tmr0)
+    cells = [cell(b, dev) for b in bits]
+    out = cell(out_bit, dev)
+    v *= sign
+    read = (solve_2t1r_read, "rbl", "sl", dev.R_on,
+            dev.R_on + channel_resistance(dev))
+    divider = (solve_vgsot_divider, "wbl", "bl", 0.0,
+               mtj_resistance(dev, out.mag))
+    for solve, source, node, r_access, r_out in (read, divider):
+        net = ResistiveNetwork()
+        net.add_voltage_source("vs", source, "gnd", v)
+        for k, c in enumerate(cells):
+            net.add_resistor(f"in{k}", source, node,
+                             r_access + mtj_resistance(dev, c.mag))
+        net.add_resistor("out", node, "gnd", r_out)
+        general = solve_general(net)
+        closed = solve(cells, out, v)
+        assert closed.voltage(node) == pytest.approx(general.voltage(node),
+                                                     rel=1e-12)
+        for name in [f"in{k}" for k in range(len(bits))] + ["out"]:
+            assert closed.current(name) == pytest.approx(
+                general.current(name), rel=1e-12)
+        assert closed.kcl_residual() < 1e-12
 
 
 def test_empty_input_list_rejected():

@@ -121,6 +121,34 @@ def test_mc_zero_sigma_all_patterns_pass(tmp_path):
     assert all(float(r[-1]) == 1.0 for r in rows)
 
 
+@pytest.mark.parametrize("argv, observable", [
+    # TMR0 = 0: every input cell has one resistance, so every i_out is equal.
+    (["--sigma", "0", "--ic-cal", "1", "--config", "{tmr0_config}"], "i_out"),
+    # So strong a gating drive that every threshold clamps to 0.
+    (["--topology", "vgsot", "--sigma", "0", "--i-sot", "1e-5",
+      "--v-drive", "20"], "i_crit"),
+])
+def test_mc_histogram_of_a_constant_observable(tmp_path, argv, observable):
+    config = tmp_path / "tmr0.json"
+    config.write_text('{"TMR0": 0}')
+    argv = [str(config) if a == "{tmr0_config}" else a for a in argv]
+    out = tmp_path / "o"
+    assert main(["mc", "-n", "40", "--format", "json", "--out", str(out)]
+                + argv) == 0
+    doc = json.loads((out / "mc_report.json").read_text())
+    trials = doc["tables"]["trials"]
+    (value,) = {row[trials["columns"].index(observable)]
+                for row in trials["rows"]}
+    hist = doc["histograms"]["histogram"]
+    edges = hist["bin_edges"]
+    assert len(hist["series"]) == 4
+    for counts in hist["series"].values():
+        occupied = [k for k, c in enumerate(counts) if c]
+        assert len(occupied) == 1 and counts[occupied[0]] == 40
+        assert edges[occupied[0]] <= value <= edges[occupied[0] + 1]
+    assert edges[0] < value < edges[-1]
+
+
 def test_mc_json_format(tmp_path):
     out = tmp_path / "o"
     assert main(["mc", "-n", "60", "--seed", "3", "--format", "json",
@@ -430,6 +458,21 @@ def test_gate_topology_mismatch(tmp_path, capsys):
     # Both ends are finite, but the span between them is not.
     (["sweep", "--axis", "beta", "--min=-1.7e308", "--max=1.7e308"],
      "numeric overflow"),
+    # Unreadable or malformed input files.
+    (["truth-table", "--config", "{missing_config}"],
+     "cannot read config file"),
+    (["truth-table", "--config", "{truncated_config}"],
+     "malformed config file"),
+    (["truth-table", "--config", "{list_config}"],
+     "device config must be a JSON object"),
+    (["gate", "--ops", "{nor_recipe}", "--array", "{two_field_array}"],
+     "malformed array CSV header values"),
+    (["gate", "--ops", "{nor_recipe}", "--array", "{short_array}"],
+     "array CSV declares 3 rows, found 2"),
+    (["gate", "--ops", "{nor_recipe}", "--array", "{mram_array}"],
+     "unknown topology 'mram'"),
+    (["gate", "--ops", "{same_rows_recipe}"], "input rows must be distinct"),
+    (["gate", "--ops", "{negative_pulse_recipe}"], "pulse width must be >= 0"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     files = {"{nan_config}": ("nan.json", '{"TMR0": NaN}'),
@@ -442,9 +485,20 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
              "{negative_array}": ("neg.csv",
                                   "rows,cols,topology\n3,1,2t1r\n0\n-1\n0\n"),
              "{wide_array}": ("wide.csv",
-                              "rows,cols,topology\n3,100000000,2t1r\n0\n0\n0\n")}
+                              "rows,cols,topology\n3,100000000,2t1r\n0\n0\n0\n"),
+             "{missing_config}": ("missing.json", None),
+             "{truncated_config}": ("truncated.json", '{"TMR0": '),
+             "{list_config}": ("list.json", "[1, 2]"),
+             "{two_field_array}": ("two.csv",
+                                   "rows,cols,topology\n3,1\n0\n0\n0\n"),
+             "{short_array}": ("short.csv", "rows,cols,topology\n3,1,2t1r\n0\n0\n"),
+             "{mram_array}": ("mram.csv",
+                              "rows,cols,topology\n3,1,mram\n0\n0\n0\n"),
+             "{same_rows_recipe}": ("same.txt", "nor,0,0;0,2\n"),
+             "{negative_pulse_recipe}": ("pulse.txt", "nor,0,0;1,2,,,-1\n")}
     for name, text in files.values():
-        (tmp_path / name).write_text(text)
+        if text is not None:
+            (tmp_path / name).write_text(text)
     argv = [str(tmp_path / files[a][0]) if a in files else a for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
@@ -454,6 +508,21 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["truth-table"], 0),
+    (["truth-table", "--v-drive", "0"], 1),  # inseparable
+    (["mc", "-n", "0"], 2),
+])
+def test_console_entry_point_exits_with_the_command_code(tmp_path, argv, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sotlogic.cli", *argv, "--out",
+         str(tmp_path / "o")], env=env, timeout=60, capture_output=True,
+        text=True)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
 
 
 # Every common flag: its default, and a value given on the command line.

@@ -205,7 +205,8 @@ def test_histogram_csv_matches_row_wise_oracle(tmp_path_factory, hist):
 @given(tabs=st.lists(tables(), max_size=3))
 def test_json_matches_row_wise_oracle(tmp_path_factory, tabs):
     hist = HistogramTable("h", (0.0, 0.5, 1.0), (("00", (3, 7)),))
-    # The label equals emit_json's first placeholder for a table's rows.
+    # A meta string spelled like a rows placeholder: a regression input
+    # for any encoder that splices the rows into encoded text.
     bundle = make_bundle({"seed": 1, "label": "\x00rows 0.0"}, tables=tabs,
                          histograms=[hist])
     path = tmp_path_factory.mktemp("json") / "r.json"
