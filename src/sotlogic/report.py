@@ -223,6 +223,8 @@ def emit_json(bundle: ReportBundle, path) -> Path:
     table_heads = [f'\n    {_json_text(name, 2)}: {{\n      "columns": '
                    f'{_json_text(list(tables[name].columns), 3)},\n      "rows": '
                    for name in names]
+    for table in bundle.tables:
+        _row_count(table)  # raises before the file is opened
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:

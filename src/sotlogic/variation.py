@@ -1,13 +1,14 @@
 """Process-variation sampling and Monte-Carlo gate campaigns.
 
 Campaigns run in one process, in blocks of ``BLOCK`` trials per input
-pattern. Each (pattern, block) pair draws all of its deviates from one
-counter-based Philox stream keyed by (seed, pattern index << 32 | block
-index) -- random stream 2 -- and evaluates the whole block as array
-operations, so campaigns are bit-reproducible. Device mismatch and
-process variation are collapsed into independent per-cell sampling; the
-varied quantities are the oxide thickness, the free-layer thickness and
-the TMR ratio (plus an optional RA knob for sensitivity studies).
+pattern, each block solved as array operations together with those of
+as many other patterns as fit in ``BLOCK`` trials. Each (pattern, block)
+pair draws its deviates from one counter-based Philox stream keyed by
+(seed, pattern index << 32 | block index) -- random stream 2 -- so
+campaigns are bit-reproducible. Device mismatch and process variation
+are collapsed into independent per-cell sampling; the varied quantities
+are the oxide thickness, the free-layer thickness and the TMR ratio
+(plus an optional RA knob for sensitivity studies).
 """
 
 from __future__ import annotations
@@ -88,10 +89,10 @@ def trial_rng(seed: int, pattern_index: int, trial_index: int) -> np.random.Gene
     return _philox(seed, pattern_index, trial_index)
 
 
-def _truncated_deviates(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals of ``shape``; entries beyond +/- 4 sigma are
-    redrawn in row-major order from the same stream until none is left."""
-    z = rng.standard_normal(shape)
+def _truncated_deviates(rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
+    """Fill C-contiguous ``z`` with standard normals from ``rng``, redrawing
+    entries beyond +/- 4 sigma in row-major order until none is left."""
+    rng.standard_normal(out=z)
     flat = z.reshape(-1)
     bad = (abs(flat) > TRUNCATION_SIGMA).nonzero()[0]
     while bad.size:
@@ -108,7 +109,7 @@ def sample_cell(nominal: DeviceParams, spec: VariationSpec,
     stay comparable across configurations. Given ``trial_rng(s, p, t)``,
     this is the one cell of a one-trial block of stream (p, t).
     """
-    z = _truncated_deviates(rng, len(spec.drawn)).tolist()
+    z = _truncated_deviates(rng, np.empty(len(spec.drawn))).tolist()
     return nominal.replace(**{
         field: getattr(nominal, field) * (1.0 + sigma * dz)
         for (field, sigma), dz in zip(spec.drawn, z)})
@@ -119,10 +120,11 @@ def block_deviates(spec: VariationSpec, pattern_index: int, block_index: int,
     """Truncated standard normals of one (pattern, block) stream.
 
     Shape (rows, cells, draws): one row per trial, cells in input order
-    then the output cell, draws in ``spec.drawn`` order.
+    then the output cell, draws in ``spec.drawn`` order. :func:`run_mc`
+    draws the same stream into its slice of a pattern group's array.
     """
     return _truncated_deviates(_philox(spec.seed, pattern_index, block_index),
-                               (rows, cells, len(spec.drawn)))
+                               np.empty((rows, cells, len(spec.drawn))))
 
 
 class CellArrays:
@@ -144,18 +146,15 @@ class CellArrays:
 
 def sample_block(nominal: DeviceParams, spec: VariationSpec,
                  z: np.ndarray) -> list:
-    """Per-cell struct-of-arrays parameters from a block's deviates.
+    """Per-cell struct-of-arrays parameters from (..., cells, draws) deviates.
 
-    Each drawn field is nominal * (1 + sigma z), elementwise as in
-    :func:`sample_cell`; fields not drawn stay nominal.
+    Each drawn field is nominal * (1 + sigma z), computed a field at a time
+    and elementwise as in :func:`sample_cell`; fields not drawn stay nominal.
     """
-    drawn = spec.drawn
-    base = np.array([getattr(nominal, field) for field, _ in drawn])
-    sigma = np.array([sigma for _, sigma in drawn])
-    values = base * (1.0 + sigma * z)
-    return [CellArrays(nominal, **{field: values[:, k, d]
-                                   for d, (field, _) in enumerate(drawn)})
-            for k in range(z.shape[1])]
+    values = {field: getattr(nominal, field) * (1.0 + sigma * z[..., d])
+              for d, (field, sigma) in enumerate(spec.drawn)}
+    return [CellArrays(nominal, **{f: v[..., k] for f, v in values.items()})
+            for k in range(z.shape[-2])]
 
 
 @dataclass
@@ -203,15 +202,14 @@ class MCResult:
 
 
 def _run_block(array_spec: ArraySpec, op: GateOp, spec: VariationSpec,
-               pattern_index: int, block: int, rows: int):
-    """Sample and execute trials [block * BLOCK, ... + rows) of one pattern.
+               ids: np.ndarray, z: np.ndarray):
+    """Run patterns ``ids`` on their deviates z (patterns, rows, cells, draws).
 
-    Draws the block's deviates and runs the per-trial cell parameters
-    through :func:`.gates.solve_pattern`, the solver of every gate.
-    Returns (success flags, observables in ``OBSERVABLES`` order).
+    Runs the sampled cell parameters through :func:`.gates.solve_pattern`,
+    the solver of every gate, as one call. Returns (success flags,
+    observables in ``OBSERVABLES`` order), each of shape (patterns, rows).
     """
-    bits = pattern_bits(pattern_index, op.n_inputs)
-    z = block_deviates(spec, pattern_index, block, rows, op.n_inputs + 1)
+    bits = pattern_bits(ids[:, None], op.n_inputs)
     *devs_in, dev_out = sample_block(array_spec.nominal, spec, z)
     _, first, i_crit, switched = solve_pattern(array_spec.topology, op, bits,
                                                devs_in, dev_out, op.v_drive)
@@ -225,8 +223,9 @@ def run_mc(array_spec: ArraySpec, op: GateOp, n: int,
 
     Each trial resamples every participating cell, executes the gate, and
     counts success iff the output matches the gate's boolean value. Trials
-    run in blocks of up to ``BLOCK`` per pattern, each written into its
-    slice of one (patterns, trials) array per quantity.
+    run in blocks of up to ``BLOCK`` per pattern; a block is solved with
+    those of as many patterns as fit in ``BLOCK`` trials, and each lands in
+    its slice of one (patterns, trials) array per quantity.
     """
     if n < 1:
         raise ValueError("need at least one trial")
@@ -236,12 +235,18 @@ def run_mc(array_spec: ArraySpec, op: GateOp, n: int,
     n_patterns = 2 ** op.n_inputs
     flags = np.empty((n_patterns, n), dtype=bool)
     data = np.empty((len(names), n_patterns, n))
+    for block, start in enumerate(range(0, n, BLOCK)):
+        rows = min(BLOCK, n - start)
+        part, group = slice(start, start + rows), max(1, BLOCK // rows)
+        for lo in range(0, n_patterns, group):
+            ids = np.arange(lo, min(lo + group, n_patterns))
+            z = np.empty((ids.size, rows, op.n_inputs + 1, len(spec.drawn)))
+            for zp, p in zip(z, ids.tolist()):
+                _truncated_deviates(_philox(spec.seed, p, block), zp)
+            flags[ids, part], data[:, ids, part] = _run_block(array_spec, op,
+                                                              spec, ids, z)
     patterns = []
     for p in range(n_patterns):
-        for block, start in enumerate(range(0, n, BLOCK)):
-            part = slice(start, start + BLOCK)
-            flags[p, part], data[:, p, part] = _run_block(
-                array_spec, op, spec, p, block, min(BLOCK, n - start))
         bits = pattern_bits(p, op.n_inputs)
         patterns.append(PatternStats(
             bits=bits, expected=boolean_output(op.kind, bits), trials=n,

@@ -2,9 +2,11 @@
 
 Each case runs a campaign through ``cli.main`` in process and compares
 the sha256 of every file it writes with a digest recorded before the
-campaign result kept its (patterns, trials) arrays. The cases cover both
-topologies, all four gates, CSV and JSON, 1 and 3 inputs and a run that
-spans two sampling blocks. They pin the histogram table and the
+campaign result kept its (patterns, trials) arrays, or, for the last
+four cases, before short blocks were solved across patterns. The cases
+cover both topologies, all four gates, CSV and JSON, 1 to 4 and 8 inputs,
+runs that span two sampling blocks and runs whose patterns are solved in
+groups of 2, 16 and 256. They pin the histogram table and the
 ``overlap_fraction`` meta value, which the benchmark's reference checks
 do not read.
 """
@@ -27,6 +29,13 @@ FLAGS = {
     ("vgsot", "and", 3, "csv"): ["--margin-fraction", "0.2"],
     ("vgsot", "nand", 3, "json"): ["--bins", "7", "--sigma-ra", "0.05"],
     ("vgsot", "nor", 1, "csv"): ["--trials", "4099"],  # two blocks
+    # Recorded before blocks were solved across patterns: mc_wide's shape
+    # (16 patterns in one group), all 256 patterns in one group, groups of
+    # two patterns, and two blocks whose last one groups every pattern.
+    ("vgsot", "and", 4, "json"): ["--trials", "250"],
+    ("2t1r", "nor", 8, "csv"): ["--trials", "16"],
+    ("vgsot", "or", 3, "csv"): ["--trials", "1500"],
+    ("2t1r", "nand", 2, "json"): ["--trials", "4099", "--sigma-ra", "0.05"],
 }
 
 # (topology, gate, inputs, format) -> {file name: sha256 of its bytes}
@@ -78,6 +87,30 @@ DIGESTS = {
             "62ca8911c103484a6a21b3dea834bfff9ceda3743a383cad937a3f7cb0707450",
         "mc_trials.csv":
             "03af79f5503d44742bece7c656fa9f8cd11d318499a4e7aeadcd9a7047ecfe8c",
+    },
+    ('vgsot', 'and', 4, 'json'): {
+        "mc_report.json":
+            "3d1f728becf36681ef567ec9966e7ea78f4f4168399ba244c1bd45017c77ed05",
+    },
+    ('2t1r', 'nor', 8, 'csv'): {
+        "mc_histogram.csv":
+            "2830f184a073fed6ce91b699993b9b48cf45c678743eeefebcdb7fbe8793cf80",
+        "mc_summary.csv":
+            "c189f06a6a426e2bce5f138ef09671f5e8a98b844b217c85e0f999a983eaf0c7",
+        "mc_trials.csv":
+            "66163a8e0f1b502e52d48dce185c798c225918267387bcd648da3920062ef336",
+    },
+    ('vgsot', 'or', 3, 'csv'): {
+        "mc_histogram.csv":
+            "04385e39791bc9085e4ae5e54836345158c39f803430c9201068fb93e0ace00a",
+        "mc_summary.csv":
+            "3285a285f0d11c1abc0bb6af33e40d2e1028e006c2ca2184237d8fa3a64a687c",
+        "mc_trials.csv":
+            "e84dc487e87d8d60e0d818b60ceb5995ef1756c09d61e023158e42e4ca875c17",
+    },
+    ('2t1r', 'nand', 2, 'json'): {
+        "mc_report.json":
+            "279ecdc05e674ed5bcf9a4f25d8cc41f29896908d2bd784d162d81a1bebbd8cb",
     },
 }
 

@@ -94,13 +94,18 @@ def test_empty_bundle_metadata_only(tmp_path):
 
 
 def test_table_columns_of_unequal_length_rejected(tmp_path):
+    # Rejected before any file is opened: an existing file keeps its bytes.
+    sentinel = tmp_path / "bad.json"
+    sentinel.write_bytes(b"kept\n")
     for data in ((), ((1,),), ((1,), (2,), (3,)), ((1, 2), (3,)), ((), (4,)),
                  ((1, 2), (3, 4, 5))):
         bad = make_bundle({}, tables=[Table("t", ("a", "b"), data)])
         with pytest.raises(ValueError, match="'t': columns of unequal length"):
             emit_csv(bad, tmp_path, "bad")
         with pytest.raises(ValueError, match="'t': columns of unequal length"):
-            emit_json(bad, tmp_path / "bad.json")
+            emit_json(bad, sentinel)
+        assert sentinel.read_bytes() == b"kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def test_config_digest_stability():

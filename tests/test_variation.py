@@ -10,7 +10,8 @@ from sotlogic import (ArraySpec, DeviceParams, GateKind, Topology,
                       VariationSpec, calibrate_gate, critical_sot_current,
                       current_histogram, mc_tables, run_mc, sample_cell,
                       trial_rng)
-from sotlogic.gates import solve_pattern
+from sotlogic.gates import (OBSERVABLES, boolean_output, pattern_bits,
+                            solve_pattern)
 from sotlogic.variation import (BLOCK, TRUNCATION_SIGMA, block_deviates,
                                 sample_block)
 
@@ -105,6 +106,27 @@ def test_sample_cell_is_one_trial_of_the_block_sampler():
         block = sample_block(P2, spec, block_deviates(spec, 0, t, 1, 1))[0]
         assert [getattr(cell, f) for f, _ in spec.drawn] == \
             [getattr(block, f).item() for f, _ in spec.drawn], t
+
+
+@pytest.mark.parametrize("sigma_ra", [0.0, 0.05])
+@pytest.mark.parametrize("lead", [(), (5,)])
+def test_sample_block_is_the_broadcast_formula(sigma_ra, lead):
+    # One field at a time gives what one broadcast over the draws axis
+    # gives, bit for bit, for (rows, cells, draws) and for
+    # (patterns, rows, cells, draws) deviates.
+    spec = VariationSpec(sigma_ra=sigma_ra, seed=31)
+    z = block_deviates(spec, 1, 0, 5 * 300, 3).reshape(
+        lead + (-1, 3, len(spec.drawn)))
+    base = np.array([getattr(P2, field) for field, _ in spec.drawn])
+    sigma = np.array([sigma for _, sigma in spec.drawn])
+    values = base * (1.0 + sigma * z)
+    cells = sample_block(P2, spec, z)
+    assert len(cells) == 3
+    for k, cell in enumerate(cells):
+        for d, (field, _) in enumerate(spec.drawn):
+            assert np.array_equal(getattr(cell, field), values[..., k, d])
+            assert getattr(cell, field).shape == z.shape[:-2]
+        assert cell.D == P2.D and (sigma_ra or cell.RA == P2.RA)
 
 
 def test_variation_spec_validation():
@@ -245,6 +267,52 @@ def test_kernel_matches_execute_gate_trial_by_trial(topology, kind, n_inputs):
             assert p.observables["i_crit"][t] == i_crit
             verdicts.add(bool(p.success_flags[t]))
     assert verdicts == {True, False}
+
+
+def replay_mc(array_spec, op, n, vspec):
+    """``run_mc``'s success and observables, solved one (pattern, block)
+    stream at a time."""
+    n_patterns = 2 ** op.n_inputs
+    success = np.empty((n_patterns, n), dtype=bool)
+    data = np.empty((2, n_patterns, n))
+    for p in range(n_patterns):
+        bits = pattern_bits(p, op.n_inputs)
+        for block, start in enumerate(range(0, n, BLOCK)):
+            rows = min(BLOCK, n - start)
+            z = block_deviates(vspec, p, block, rows, op.n_inputs + 1)
+            *devs_in, dev_out = sample_block(array_spec.nominal, vspec, z)
+            _, first, i_crit, switched = solve_pattern(
+                array_spec.topology, op, bits, devs_in, dev_out, op.v_drive)
+            part = slice(start, start + rows)
+            success[p, part] = \
+                (op.out_init ^ switched) == boolean_output(op.kind, bits)
+            data[:, p, part] = first, i_crit
+    return success, dict(zip(OBSERVABLES[array_spec.topology], data))
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("kind", list(GateKind))
+@pytest.mark.parametrize("n_inputs", [1, 3, 4, 8])
+def test_grouped_kernel_matches_per_pattern_replay(topology, kind, n_inputs):
+    # Short blocks are solved for many patterns at once; trial counts that
+    # split the patterns into uneven groups, and campaigns of one and two
+    # blocks, must give exactly the per-pattern replay's arrays.
+    params = P2 if topology is Topology.TWO_T_ONE_R \
+        else DeviceParams.default_vgsot()
+    spec = ArraySpec(topology, max(3, n_inputs + 1), 1, params)
+    spec, op = calibrate_gate(spec, kind, n_inputs,
+                              margin_fraction=0.2).apply(spec)
+    counts = (1, 3, 16) if n_inputs == 8 else \
+        (1, 3, 250, 1000, 1366, BLOCK - 1, BLOCK + 3)
+    for sigma_ra, n in itertools.product((0.0, 0.05), counts):
+        vspec = VariationSpec(sigma_ra=sigma_ra, seed=808)
+        result = run_mc(spec, op, n, vspec)
+        success, observables = replay_mc(spec, op, n, vspec)
+        assert np.array_equal(result.success, success), (sigma_ra, n)
+        assert result.observables.keys() == observables.keys()
+        for name, values in observables.items():
+            assert np.array_equal(result.observables[name], values), \
+                (sigma_ra, n, name)
 
 
 def test_campaign_spanning_blocks_is_worker_independent():
