@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -295,6 +296,8 @@ def cmd_mc(args) -> int:
         raise ConfigError(f"--bins must be <= {MAX_BINS}")
     vspec = _variation_from_args(args)
     spec = _resolve_spec(args)
+    if args.trials < 1:
+        raise ConfigError("--trials must be >= 1")
     if args.trials * 2 ** args.inputs > MAX_TRIALS:
         raise ConfigError(f"--trials x 2^inputs must be <= {MAX_TRIALS}, got "
                           f"{args.trials} x {2 ** args.inputs}")
@@ -443,12 +446,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    return build_parser(command)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Only the named subcommand's parser is built: most of a nominal
-    # command's time would otherwise go to building the other five.
+    # Only the named subcommand's parser is built, once per process: parsing
+    # leaves it as it was, and help and usage are formatted when printed.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _parser(command).parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
     except InseparableError as exc:

@@ -74,10 +74,21 @@ class VariationSpec:
 
 
 def _philox(seed: int, pattern_index: int, index: int) -> np.random.Generator:
+    return _rekey(np.random.Generator(np.random.Philox()), seed, pattern_index, index)
+
+
+def _rekey(rng: np.random.Generator, seed: int, pattern_index: int,
+           index: int) -> np.random.Generator:
+    """Restart ``rng`` at stream (pattern, index) of ``seed``: a zero counter
+    and an empty buffer, so nothing drawn before carries over. Cheaper than
+    a new Philox, which first seeds itself from OS entropy."""
     if not (0 <= pattern_index < _MAX_INDEX and 0 <= index < _MAX_INDEX):
         raise ValueError("pattern and trial or block indices must fit in 32 bits")
-    key = np.array([seed, (pattern_index << 32) | index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+        "state": {"counter": (0,) * 4, "key": (seed, pattern_index << 32 | index)}}
+    return rng
 
 
 def trial_rng(seed: int, pattern_index: int, trial_index: int) -> np.random.Generator:
@@ -235,6 +246,7 @@ def run_mc(array_spec: ArraySpec, op: GateOp, n: int,
     n_patterns = 2 ** op.n_inputs
     flags = np.empty((n_patterns, n), dtype=bool)
     data = np.empty((len(names), n_patterns, n))
+    rng = np.random.Generator(np.random.Philox())  # re-keyed per stream
     for block, start in enumerate(range(0, n, BLOCK)):
         rows = min(BLOCK, n - start)
         part, group = slice(start, start + rows), max(1, BLOCK // rows)
@@ -242,7 +254,7 @@ def run_mc(array_spec: ArraySpec, op: GateOp, n: int,
             ids = np.arange(lo, min(lo + group, n_patterns))
             z = np.empty((ids.size, rows, op.n_inputs + 1, len(spec.drawn)))
             for zp, p in zip(z, ids.tolist()):
-                _truncated_deviates(_philox(spec.seed, p, block), zp)
+                _truncated_deviates(_rekey(rng, spec.seed, p, block), zp)
             flags[ids, part], data[:, ids, part] = _run_block(array_spec, op,
                                                               spec, ids, z)
     patterns = []

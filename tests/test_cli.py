@@ -473,12 +473,18 @@ def test_gate_topology_mismatch(tmp_path, capsys):
      "unknown topology 'mram'"),
     (["gate", "--ops", "{same_rows_recipe}"], "input rows must be distinct"),
     (["gate", "--ops", "{negative_pulse_recipe}"], "pulse width must be >= 0"),
+    # A trial count below 1 is found before calibration, which this
+    # device config would fail as inseparable (exit 1).
+    (["mc", "--trials", "0", "--config", "{tmr0_config}"],
+     "--trials must be >= 1"),
+    (["mc", "-n", "-3", "--config", "{tmr0_config}"], "--trials must be >= 1"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     files = {"{nan_config}": ("nan.json", '{"TMR0": NaN}'),
              "{ms_config}": ("ms.json", '{"Ms": 1e200}'),
              "{ki0_config}": ("ki0.json", '{"Ki0": 1e-9}'),
              "{d_config}": ("d.json", '{"D": 1e-300}'),
+             "{tmr0_config}": ("tmr0.json", '{"TMR0": 0}'),
              "{recipe}": ("recipe.txt", "nor,0,0;1,2,,1e300\n"),
              "{nor_recipe}": ("nor.txt", "nor,0,0;1,2\n"),
              "{bad_array}": ("bad.csv", "rows,cols,topology\n3,1,2t1r\n2\n-1\n0\n"),
@@ -567,17 +573,79 @@ def _parse_output(parser, argv):
     return exc.value.code, out.getvalue(), err.getvalue()
 
 
+# One quick successful run of each subcommand.
+RUNNABLE = {"truth-table": [], "gate": ["--ops", "{recipe}"], "mc": ["-n", "5"],
+            "margin": [], "calibrate": [],
+            "sweep": ["--axis", "RA", "--min", "5", "--max", "50",
+                      "--points", "3"]}
+
+
 @pytest.mark.parametrize("command", list(_COMMANDS))
-def test_one_subcommand_parser_prints_what_the_full_parser_does(command):
+def test_one_subcommand_parser_prints_what_the_full_parser_does(
+        command, tmp_path, monkeypatch):
     unknown_flag = [command, *REQUIRED_FLAGS.get(command, []), "--bogus"]
-    for argv in ([command, "-h"], unknown_flag, [command, "--inputs"],
-                 [command, "--inputs", "x"]):
-        expected = _parse_output(build_parser(), argv)
-        assert _parse_output(build_parser(command), argv) == expected
-        assert _run_captured(argv) == expected
+    cli._parser.cache_clear()
+    for warm in (False, True):
+        if warm:
+            # After a command has run, its cached parser still prints what
+            # a new one does, formatted for the terminal width of the call.
+            recipe = tmp_path / "recipe.txt"
+            recipe.write_text("nor,0,0;1,2\n")
+            argv = [str(recipe) if a == "{recipe}" else a
+                    for a in RUNNABLE[command]]
+            assert _run_captured([command, *argv, "--out",
+                                  str(tmp_path / "o")])[0] == 0
+            monkeypatch.setenv("COLUMNS", "52")
+        for argv in ([command, "-h"], unknown_flag, [command, "--inputs"],
+                     [command, "--inputs", "x"]):
+            expected = _parse_output(build_parser(), argv)
+            assert _parse_output(build_parser(command), argv) == expected
+            assert _run_captured(argv) == expected
     # The top-level usage line of this error lists every subcommand.
     code, _, err = _run_captured(unknown_flag)
     assert code == 2 and "{truth-table,gate,mc,margin,calibrate,sweep}" in err
+    assert build_parser() is not build_parser()
+    assert build_parser(command) is not build_parser(command)
+
+
+def test_each_subcommand_parser_is_built_once_per_process(tmp_path,
+                                                           monkeypatch):
+    builds = []
+
+    def counted(command=None):
+        builds.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for _ in range(5):
+        for command in ("truth-table", "margin"):
+            assert _run_captured([command, "--out", str(tmp_path)])[0] == 0
+    assert builds == ["truth-table", "margin"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["mc", "-n", "20"], ["--sigma", "0.05", "--margin-fraction", "0.3",
+                          "--bins", "4", "--format", "json"]),
+    (["sweep", "--axis", "RA", "--min", "5", "--max", "50", "--points", "3"],
+     ["--v-drive", "-1.2", "--topology", "vgsot", "--format", "json"]),
+    (["calibrate"], ["--margin-fraction", "0.25", "--v-drive", "-1.2",
+                     "--format", "json"]),
+    (["truth-table"], ["--margin-fraction", "0.25", "--gate", "nand",
+                       "--format", "json"]),
+    (["margin"], ["--v-drive", "-1.2", "--inputs", "3", "--format", "json"]),
+])
+def test_a_command_reports_alike_whatever_ran_before_it(tmp_path, argv, flags):
+    def run(argv, out):
+        code, stdout, stderr = _run_captured(argv + ["--out", str(out)])
+        return code, stdout.replace(str(out), "OUT"), stderr, _snapshot(out)
+
+    cli._parser.cache_clear()
+    assert run(argv + flags, tmp_path / "a")[0] == 0
+    after = run(argv, tmp_path / "b")
+    cli._parser.cache_clear()
+    assert after == run(argv, tmp_path / "c")
+    assert after[0] == 0 and after[3]
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["bogus"], [], ["-x"]])

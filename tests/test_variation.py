@@ -12,8 +12,8 @@ from sotlogic import (ArraySpec, DeviceParams, GateKind, Topology,
                       trial_rng)
 from sotlogic.gates import (OBSERVABLES, boolean_output, pattern_bits,
                             solve_pattern)
-from sotlogic.variation import (BLOCK, TRUNCATION_SIGMA, block_deviates,
-                                sample_block)
+from sotlogic.variation import (BLOCK, TRUNCATION_SIGMA, _philox, _rekey,
+                                block_deviates, sample_block)
 
 P2 = DeviceParams.default_2t1r()
 
@@ -106,6 +106,29 @@ def test_sample_cell_is_one_trial_of_the_block_sampler():
         block = sample_block(P2, spec, block_deviates(spec, 0, t, 1, 1))[0]
         assert [getattr(cell, f) for f, _ in spec.drawn] == \
             [getattr(block, f).item() for f, _ in spec.drawn], t
+
+
+def test_rekeyed_generator_restarts_at_the_fresh_stream():
+    # An odd count of normals leaves part of Philox's four-word buffer, and
+    # an odd count of 32-bit draws half a word; neither may carry over.
+    # Both generators match a Philox built with the key.
+    rng = _philox(3, 0, 0)
+    for seed, p, i in [(5, 1, 2), (2 ** 64 - 1, 2 ** 32 - 1, 2 ** 32 - 1),
+                       (5, 1, 2), (0, 0, 7)]:
+        rng.standard_normal(7)
+        rng.integers(2 ** 32, size=3, dtype=np.uint32)
+        fresh = _philox(seed, p, i)
+        keyed = np.random.Generator(np.random.Philox(
+            key=np.array([seed, p << 32 | i], dtype=np.uint64)))
+        assert _rekey(rng, seed, p, i) is rng
+        normals = rng.standard_normal(1001)
+        assert np.array_equal(normals, fresh.standard_normal(1001))
+        assert np.array_equal(normals, keyed.standard_normal(1001))
+        words = rng.integers(2 ** 32, size=5, dtype=np.uint32)
+        assert np.array_equal(words, fresh.integers(2 ** 32, size=5,
+                                                    dtype=np.uint32))
+    with pytest.raises(ValueError, match="32 bits"):
+        _rekey(rng, 0, 2 ** 32, 0)
 
 
 @pytest.mark.parametrize("sigma_ra", [0.0, 0.05])
