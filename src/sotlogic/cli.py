@@ -104,21 +104,18 @@ def _sweep_flags(p) -> None:
     p.add_argument("--points", type=int, default=10)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser, with every subcommand or only ``command``.
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand.
 
-    Either parser parses an argv of ``command`` alike, with the same help
-    and error text: the usage line lists every subcommand in both.
+    :func:`main` builds it once per process and reuses it: parsing leaves
+    it as it was, and help and usage are formatted when printed.
     """
     parser = argparse.ArgumentParser(
         prog="sotlogic",
         description="Stateful-logic simulator for SOT-MRAM memory arrays")
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+    sub = parser.add_subparsers(dest="command", required=True)
     common = [_common_flags()]
-    for name in _COMMANDS if command is None else [command]:
-        _, help_text, add_flags = _COMMANDS[name]
+    for name, (_, help_text, add_flags) in _COMMANDS.items():
         p = sub.add_parser(name, parents=common, help=help_text)
         if add_flags is not None:
             add_flags(p)
@@ -128,6 +125,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 # --- config resolution --------------------------------------------------------
 
 def _resolve_params(args) -> DeviceParams:
+    VariationSpec(seed=args.seed)  # raises unless it fits mc's 64-bit key
     topology = Topology.parse(args.topology)
     base = DeviceParams.default_2t1r() if topology is Topology.TWO_T_ONE_R \
         else DeviceParams.default_vgsot()
@@ -152,15 +150,12 @@ def _resolve_spec(args) -> ArraySpec:
                      nominal=_resolve_params(args))
 
 
-def _op_overrides(args) -> dict:
-    out = {}
-    if args.v_drive is not None:
-        out["v_drive"] = args.v_drive
-    if args.i_sot is not None:
-        out["i_sot"] = args.i_sot
-    if args.pulse is not None:
-        out["pulse"] = args.pulse
-    return out
+def _op(args, spec: ArraySpec, kind: GateKind) -> GateOp:
+    """The op at the flags' drive, write current and pulse, each defaulting
+    as in :meth:`GateOp.for_kind`."""
+    return GateOp.for_kind(kind, spec.topology, n_inputs=args.inputs,
+                           v_drive=args.v_drive, i_sot=args.i_sot,
+                           pulse=args.pulse)
 
 
 def _calibrated_setup(args, spec: ArraySpec, kind: GateKind):
@@ -170,12 +165,10 @@ def _calibrated_setup(args, spec: ArraySpec, kind: GateKind):
     auto-calibration; otherwise the operating point comes from
     calibrate_gate at --margin-fraction.
     """
-    overrides = _op_overrides(args)
     explicit = args.ic_cal is not None if spec.topology is Topology.TWO_T_ONE_R \
         else args.i_sot is not None
     if explicit:
-        op = GateOp.for_kind(kind, spec.topology, n_inputs=args.inputs, **overrides)
-        return spec, op, None
+        return spec, _op(args, spec, kind), None
     cal = calibrate_gate(spec, kind, args.inputs,
                          margin_fraction=args.margin_fraction,
                          v_drive=args.v_drive)
@@ -324,8 +317,7 @@ def cmd_mc(args) -> int:
 def cmd_margin(args) -> int:
     spec = _resolve_spec(args)
     kind = GateKind.parse(args.gate)
-    overrides = _op_overrides(args)
-    op = GateOp.for_kind(kind, spec.topology, n_inputs=args.inputs, **overrides)
+    op = _op(args, spec, kind)
     report = margin_analysis(spec, kind, args.inputs, op=op)
 
     patterns = Table("patterns", ("pattern", "must_switch", "metric", "v_bl",
@@ -381,8 +373,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"{flag} must be finite, got {value}")
     spec = _resolve_spec(args)
     kind = GateKind.parse(args.gate)
-    op = GateOp.for_kind(kind, spec.topology, n_inputs=args.inputs,
-                         **_op_overrides(args))
+    op = _op(args, spec, kind)
     # A span past the largest float gives nan values, raised below.
     with np.errstate(all="ignore"):
         values = np.linspace(args.lo, args.hi, args.points)
@@ -447,16 +438,12 @@ _COMMANDS = {
 
 
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    return build_parser(command)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # Only the named subcommand's parser is built, once per process: parsing
-    # leaves it as it was, and help and usage are formatted when printed.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _parser(command).parse_args(argv)
+    args = _parser().parse_args(argv)  # None: sys.argv[1:]
     try:
         return _COMMANDS[args.command][0](args)
     except InseparableError as exc:

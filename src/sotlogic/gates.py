@@ -123,11 +123,12 @@ class GateOp:
     def for_kind(cls, kind: GateKind, topology: Topology,
                  input_rows=None, output_row: int | None = None, col: int = 0,
                  v_drive: float | None = None, i_sot: float | None = None,
-                 pulse: float = PULSE_DEFAULT, n_inputs: int = 2) -> "GateOp":
+                 pulse: float | None = None, n_inputs: int = 2) -> "GateOp":
         """Build an op with the default operating point for the topology.
 
-        Input rows default to 0..n-1 with the output on row n. OR/AND get
-        the reversed drive polarity automatically.
+        Input rows default to 0..n-1 with the output on row n. A ``None``
+        drive, write current or pulse takes the topology's default; OR/AND
+        get the reversed drive polarity automatically.
         """
         if input_rows is None:
             input_rows = tuple(range(n_inputs))
@@ -143,7 +144,8 @@ class GateOp:
         if i_sot is None:
             i_sot = sign * I_SOT_DEFAULT
         return cls(kind=kind, input_rows=input_rows, output_row=output_row,
-                   col=col, v_drive=v_drive, i_sot=i_sot, pulse=pulse)
+                   col=col, v_drive=v_drive, i_sot=i_sot,
+                   pulse=PULSE_DEFAULT if pulse is None else pulse)
 
 
 @dataclass(frozen=True)
@@ -491,7 +493,7 @@ def parse_gate_ops(text: str, topology: Topology) -> list:
             out_row = int(fields[3])
             v_drive = float(fields[4]) if len(fields) > 4 and fields[4] else None
             i_sot = float(fields[5]) if len(fields) > 5 and fields[5] else None
-            pulse = float(fields[6]) if len(fields) > 6 and fields[6] else PULSE_DEFAULT
+            pulse = float(fields[6]) if len(fields) > 6 and fields[6] else None
         except ValueError as exc:
             raise ValueError(f"op line {lineno}: {exc}") from exc
         ops.append(GateOp.for_kind(kind, topology, input_rows=in_rows,

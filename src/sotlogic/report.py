@@ -134,9 +134,10 @@ def _write_chunked(f, texts, size: int = 1024) -> None:
 
 
 def emit_csv(bundle: ReportBundle, out_dir, prefix: str):
-    """Write one CSV per table/histogram (metadata-only file if none).
+    """Write one CSV per table/histogram, each headed by the metadata.
 
-    File naming: ``<prefix>_<table>.csv``. Returns the written paths.
+    File naming: ``<prefix>_<table>.csv``. Returns the written paths; a
+    bundle without tables writes none.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -151,12 +152,6 @@ def emit_csv(bundle: ReportBundle, out_dir, prefix: str):
         lines = _table_csv(table, bundle.meta)  # checks the table first
         with path.open("w") as f:
             _write_chunked(f, lines)
-        written.append(path)
-    if not written:
-        path = out / f"{prefix}_meta.csv"
-        lines = _meta_lines(bundle.meta) + ["key,value"]
-        lines += [f"{k},{bundle.meta[k]}" for k in sorted(bundle.meta)]
-        path.write_text("\n".join(lines) + "\n")
         written.append(path)
     return written
 

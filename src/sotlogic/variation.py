@@ -73,10 +73,6 @@ class VariationSpec:
                      if field != "RA" or self.sigma_ra > 0.0)
 
 
-def _philox(seed: int, pattern_index: int, index: int) -> np.random.Generator:
-    return _rekey(np.random.Generator(np.random.Philox()), seed, pattern_index, index)
-
-
 def _rekey(rng: np.random.Generator, seed: int, pattern_index: int,
            index: int) -> np.random.Generator:
     """Restart ``rng`` at stream (pattern, index) of ``seed``: a zero counter
@@ -92,12 +88,13 @@ def _rekey(rng: np.random.Generator, seed: int, pattern_index: int,
 
 
 def trial_rng(seed: int, pattern_index: int, trial_index: int) -> np.random.Generator:
-    """Independent Philox stream for one (pattern, trial) pair.
+    """A new generator on the Philox stream of one (pattern, trial) pair.
 
-    A scalar view for statistical checks; campaigns draw per block
-    (:func:`block_deviates`).
+    A scalar view for statistical checks: :func:`run_mc` draws block b of
+    pattern p from stream (p, b), re-keying one generator per campaign.
     """
-    return _philox(seed, pattern_index, trial_index)
+    return _rekey(np.random.Generator(np.random.Philox()), seed,
+                  pattern_index, trial_index)
 
 
 def _truncated_deviates(rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
@@ -124,18 +121,6 @@ def sample_cell(nominal: DeviceParams, spec: VariationSpec,
     return nominal.replace(**{
         field: getattr(nominal, field) * (1.0 + sigma * dz)
         for (field, sigma), dz in zip(spec.drawn, z)})
-
-
-def block_deviates(spec: VariationSpec, pattern_index: int, block_index: int,
-                   rows: int, cells: int) -> np.ndarray:
-    """Truncated standard normals of one (pattern, block) stream.
-
-    Shape (rows, cells, draws): one row per trial, cells in input order
-    then the output cell, draws in ``spec.drawn`` order. :func:`run_mc`
-    draws the same stream into its slice of a pattern group's array.
-    """
-    return _truncated_deviates(_philox(spec.seed, pattern_index, block_index),
-                               np.empty((rows, cells, len(spec.drawn))))
 
 
 class CellArrays:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -478,6 +479,34 @@ def test_gate_topology_mismatch(tmp_path, capsys):
     (["mc", "--trials", "0", "--config", "{tmr0_config}"],
      "--trials must be >= 1"),
     (["mc", "-n", "-3", "--config", "{tmr0_config}"], "--trials must be >= 1"),
+    # Malformed recipe lines, and arrays too small or with no column.
+    (["gate", "--ops", "{xor_recipe}"], "op line 1: unknown gate kind 'xor'"),
+    (["gate", "--ops", "{short_recipe}"], "need kind,col,in_rows,out_row"),
+    (["gate", "--ops", "{overlap_recipe}"],
+     "output row must be disjoint from input rows"),
+    (["gate", "--ops", "{no_input_recipe}"], "gate needs at least one input row"),
+    (["gate", "--ops", "{col3_recipe}"], "column 3 out of bounds for 1-col array"),
+    (["gate", "--ops", "{nor_recipe}", "--rows", "2"], "array needs rows >= 3"),
+    (["gate", "--ops", "{nor_recipe}", "--cols", "0"], "array needs cols >= 1"),
+    # Variation and operating-point bounds.
+    (["mc", "-n", "5", "--sigma=-0.1"], "sigma_t_ox must be >= 0"),
+    (["mc", "-n", "5", "--sigma", "0.3"], "too large"),
+    (["truth-table", "--margin-fraction", "1.5"],
+     "margin_fraction must be in (0, 1)"),
+    (["calibrate", "--margin-fraction", "0"], "margin_fraction must be in (0, 1)"),
+    # Every command records the seed, which keys mc's 64-bit Philox streams.
+    (["mc", "-n", "5", "--seed", "-1"], "seed must fit in 64 bits"),
+    (["mc", "-n", "5", "--seed", "18446744073709551616"],
+     "seed must fit in 64 bits"),
+    (["truth-table", "--seed", "-1"], "seed must fit in 64 bits"),
+    (["calibrate", "--seed", "18446744073709551616"], "seed must fit in 64 bits"),
+    (["calibrate", "--seed", "99999999999999999999999"],
+     "seed must fit in 64 bits"),
+    (["margin", "--seed", "-1"], "seed must fit in 64 bits"),
+    (["sweep", "--axis", "RA", "--min", "5", "--max", "50", "--seed", "-1"],
+     "seed must fit in 64 bits"),
+    (["gate", "--ops", "{nor_recipe}", "--seed", "18446744073709551616"],
+     "seed must fit in 64 bits"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     files = {"{nan_config}": ("nan.json", '{"TMR0": NaN}'),
@@ -501,7 +530,12 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
              "{mram_array}": ("mram.csv",
                               "rows,cols,topology\n3,1,mram\n0\n0\n0\n"),
              "{same_rows_recipe}": ("same.txt", "nor,0,0;0,2\n"),
-             "{negative_pulse_recipe}": ("pulse.txt", "nor,0,0;1,2,,,-1\n")}
+             "{negative_pulse_recipe}": ("pulse.txt", "nor,0,0;1,2,,,-1\n"),
+             "{xor_recipe}": ("xor.txt", "xor,0,0;1,2\n"),
+             "{short_recipe}": ("short.txt", "nor,0\n"),
+             "{overlap_recipe}": ("overlap.txt", "nor,0,0;1,1\n"),
+             "{no_input_recipe}": ("no_input.txt", "nor,0,,2\n"),
+             "{col3_recipe}": ("col3.txt", "nor,3,0;1,2\n")}
     for name, text in files.values():
         if text is not None:
             (tmp_path / name).write_text(text)
@@ -514,6 +548,53 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["truth-table"], ["mc", "-n", "5"]])
+@pytest.mark.parametrize("setup", [
+    ["--topology", "2t1r"], ["--topology", "2t1r", "--ic-cal", "1.78"],
+    ["--topology", "vgsot"], ["--topology", "vgsot", "--i-sot", "2.7e-5"]])
+def test_pulse_flag_reaches_the_report(tmp_path, command, setup):
+    # On the calibrated path and on the explicit (--ic-cal / --i-sot) one;
+    # without the flag the op keeps the default pulse.
+    for flags, pulse in (([], gates.PULSE_DEFAULT), (["--pulse", "3e-9"], 3e-9)):
+        out = tmp_path / str(pulse)
+        assert main(command + setup + flags +
+                    ["--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(next(out.glob("*_report.json")).read_text())
+        assert doc["meta"]["pulse"] == pulse
+
+
+# sha256 of the margin and sweep reports at a given drive (and write
+# current), recorded while the CLI passed only the op flags it was given on
+# to GateOp.for_kind.
+OP_FLAG_DIGESTS = [
+    (["margin", "--v-drive", "-1.2", "--inputs", "3"], {
+        "margin_patterns.csv":
+            "fde668b3ba7bb9802be2133b20a74b7195e8ff26c7a17302f3a52f121b9763cd",
+        "margin_summary.csv":
+            "2ffdb7bd5be2e2d939f4d0fa2e72d0a6575301428a1ac546b82ca13ff3f5d926"}),
+    (["margin", "--topology", "vgsot", "--gate", "or", "--v-drive", "1.2",
+      "--format", "json"], {
+        "margin_report.json":
+            "f3f2c59bf661a78e381044e113a28b566fad77b9a8eb76c14f4d7419c51b0029"}),
+    (["sweep", "--axis", "RA", "--min", "5", "--max", "50", "--points", "4",
+      "--v-drive", "0.9"], {
+        "sweep_sweep.csv":
+            "919b5a851fc7d16aaf15ca328ca2df9b94081f09305de5c70eecf0a277b98496"}),
+    (["sweep", "--axis", "t_f", "--min", "1e-9", "--max", "2e-9", "--points",
+      "3", "--topology", "vgsot", "--gate", "nand", "--v-drive", "1.3",
+      "--i-sot", "5e-5", "--format", "json"], {
+        "sweep_report.json":
+            "9e75554c23a1a3dfa64647d140343487fa8780ef615a8f9fffc1b0e5b5e200de"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", OP_FLAG_DIGESTS)
+def test_op_flags_keep_their_report_bytes(tmp_path, argv, digests):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir())} == digests
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -599,29 +680,27 @@ def test_one_subcommand_parser_prints_what_the_full_parser_does(
         for argv in ([command, "-h"], unknown_flag, [command, "--inputs"],
                      [command, "--inputs", "x"]):
             expected = _parse_output(build_parser(), argv)
-            assert _parse_output(build_parser(command), argv) == expected
             assert _run_captured(argv) == expected
     # The top-level usage line of this error lists every subcommand.
     code, _, err = _run_captured(unknown_flag)
     assert code == 2 and "{truth-table,gate,mc,margin,calibrate,sweep}" in err
     assert build_parser() is not build_parser()
-    assert build_parser(command) is not build_parser(command)
 
 
 def test_each_subcommand_parser_is_built_once_per_process(tmp_path,
                                                            monkeypatch):
     builds = []
 
-    def counted(command=None):
-        builds.append(command)
-        return build_parser(command)
+    def counted():
+        builds.append(None)
+        return build_parser()
 
     monkeypatch.setattr(cli, "build_parser", counted)
     cli._parser.cache_clear()
     for _ in range(5):
         for command in ("truth-table", "margin"):
             assert _run_captured([command, "--out", str(tmp_path)])[0] == 0
-    assert builds == ["truth-table", "margin"]
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("argv, flags", [

@@ -10,8 +10,8 @@ from sotlogic import (ArraySpec, DeviceParams, GateConfigError, GateKind,
                       GateOp, InseparableError, MagState, MramArray, Topology,
                       boolean_output, calibrate_gate, execute_gate,
                       margin_analysis, truth_table, write_cell)
-from sotlogic.gates import (parse_gate_ops, pattern_bits, pattern_label,
-                            solve_pattern)
+from sotlogic.gates import (PULSE_DEFAULT, parse_gate_ops, pattern_bits,
+                            pattern_label, solve_pattern)
 
 P2 = DeviceParams.default_2t1r()
 PV = DeviceParams.default_vgsot()
@@ -350,6 +350,17 @@ def test_recipe_parse_defaults():
     assert ops[1].kind is GateKind.AND
     assert ops[1].col == 1 and ops[1].input_rows == (0, 1, 2)
     assert ops[1].v_drive == pytest.approx(-1.1)  # reversed polarity family
+
+
+def test_omitted_pulse_takes_the_default():
+    # None means the default pulse, as it does for v_drive and i_sot, in
+    # the library and for a recipe line with no or an empty pulse field.
+    for topology in Topology:
+        op = GateOp.for_kind(GateKind.OR, topology, pulse=None)
+        assert op == GateOp.for_kind(GateKind.OR, topology)
+        assert op.pulse == PULSE_DEFAULT
+        assert parse_gate_ops("or,0,0;1,2\nor,0,0;1,2,,,\n", topology) == \
+            [op, op]
 
 
 def test_recipe_parse_overrides_and_round_trip():

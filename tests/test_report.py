@@ -85,10 +85,9 @@ def test_json_byte_identical_and_sorted(tmp_path):
 
 
 def test_empty_bundle_metadata_only(tmp_path):
+    # Every command emits a table; a bundle without one writes no CSV file.
     bundle = make_bundle({"seed": 9})
-    paths = emit_csv(bundle, tmp_path, "empty")
-    assert len(paths) == 1 and paths[0].name == "empty_meta.csv"
-    assert "seed,9" in paths[0].read_text()
+    assert emit_csv(bundle, tmp_path, "empty") == []
     doc = json.loads(emit_json(bundle, tmp_path / "empty.json").read_text())
     assert doc["tables"] == {} and doc["meta"]["seed"] == 9
 

@@ -12,10 +12,22 @@ from sotlogic import (ArraySpec, DeviceParams, GateKind, Topology,
                       trial_rng)
 from sotlogic.gates import (OBSERVABLES, boolean_output, pattern_bits,
                             solve_pattern)
-from sotlogic.variation import (BLOCK, TRUNCATION_SIGMA, _philox, _rekey,
-                                block_deviates, sample_block)
+from sotlogic.variation import (BLOCK, TRUNCATION_SIGMA, _rekey,
+                                _truncated_deviates, sample_block)
 
 P2 = DeviceParams.default_2t1r()
+
+
+def block_deviates(spec, pattern_index, block_index, rows, cells):
+    """Truncated standard normals of one (pattern, block) stream: the replay
+    oracle of ``run_mc``'s sampling.
+
+    Shape (rows, cells, draws): one row per trial, cells in input order
+    then the output cell, draws in ``spec.drawn`` order. ``run_mc`` draws
+    the same stream into its slice of a pattern group's array.
+    """
+    return _truncated_deviates(trial_rng(spec.seed, pattern_index, block_index),
+                               np.empty((rows, cells, len(spec.drawn))))
 
 
 def nor_setup(topology=Topology.TWO_T_ONE_R, margin_fraction=0.5):
@@ -112,12 +124,12 @@ def test_rekeyed_generator_restarts_at_the_fresh_stream():
     # An odd count of normals leaves part of Philox's four-word buffer, and
     # an odd count of 32-bit draws half a word; neither may carry over.
     # Both generators match a Philox built with the key.
-    rng = _philox(3, 0, 0)
+    rng = trial_rng(3, 0, 0)
     for seed, p, i in [(5, 1, 2), (2 ** 64 - 1, 2 ** 32 - 1, 2 ** 32 - 1),
                        (5, 1, 2), (0, 0, 7)]:
         rng.standard_normal(7)
         rng.integers(2 ** 32, size=3, dtype=np.uint32)
-        fresh = _philox(seed, p, i)
+        fresh = trial_rng(seed, p, i)
         keyed = np.random.Generator(np.random.Philox(
             key=np.array([seed, p << 32 | i], dtype=np.uint64)))
         assert _rekey(rng, seed, p, i) is rng
