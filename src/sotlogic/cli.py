@@ -409,16 +409,16 @@ def cmd_sweep(args) -> int:
         # Feasible when the weakest must-switch current still exceeds the
         # device threshold at the configured calibration.
         feasible &= hi >= i_dev
-    data = [x.tolist() for x in (values, lo, hi, margin, relative_margin, i_dev,
-                                 density, density < column.J_stt_crit, feasible)]
-    values, feasible = data[0], data[-1]
-    boundary = next((f"{a:g}..{b:g}" for a, b, was, now in zip(
-        values, values[1:], feasible, feasible[1:]) if was != now), "none")
+    data = (values, lo, hi, margin, relative_margin, i_dev, density,
+            density < column.J_stt_crit, feasible)
+    flips = np.flatnonzero(feasible[1:] != feasible[:-1]).tolist()
+    boundary = (f"{values[flips[0]]:g}..{values[flips[0] + 1]:g}" if flips
+                else "none")
     columns = (args.axis, "lo", "hi", "margin", "relative_margin",
                "i_crit_device", "worst_input_density", "disturb_ok", "feasible")
     bundle = make_bundle(_meta(args, spec, {"axis": args.axis,
                                             "boundary": boundary}),
-                         tables=[Table("sweep", columns, tuple(data))])
+                         tables=[Table("sweep", columns, data)])
     paths = _emit(args, bundle, "sweep")
     print(f"sweep {args.axis} in [{args.lo}, {args.hi}] x{args.points} "
           f"[{spec.topology.value} {kind.value}]: boundary={boundary} "

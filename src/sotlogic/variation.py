@@ -13,7 +13,6 @@ are the oxide thickness, the free-layer thickness and the TMR ratio
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -297,8 +296,8 @@ def mc_tables(result: MCResult, bins: int = 32):
     The summary has one row per input pattern (inputs rendered
     most-significant first, expected output, trials, successes, rate); the
     trials table has one row per (pattern, trial) with the sampled
-    observables and the verdict. Returns (summary, trials, histogram
-    table, histogram report).
+    observables and the verdict, its columns held as 1-D arrays. Returns
+    (summary, trials, histogram table, histogram report).
     """
     patterns = result.patterns
     summary_rows = [tuple(reversed(p.bits)) +
@@ -310,11 +309,11 @@ def mc_tables(result: MCResult, bins: int = 32):
                     tuple(zip(*summary_rows)))
 
     obs_names = sorted(result.observables)
-    chain = itertools.chain.from_iterable
-    data = (list(chain(itertools.repeat(p.label, p.trials) for p in patterns)),
-            list(chain(range(p.trials) for p in patterns)),
-            *(result.observables[name].ravel().tolist() for name in obs_names),
-            result.success.ravel().tolist())
+    n_patterns, n_trials = result.success.shape
+    data = (np.repeat([p.label for p in patterns], n_trials),
+            np.tile(np.arange(n_trials), n_patterns),
+            *(result.observables[name].ravel() for name in obs_names),
+            result.success.ravel())
     trials = Table("trials",
                    tuple(["pattern", "trial"] + obs_names + ["success"]), data)
 

@@ -12,13 +12,18 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from sotlogic.report import HistogramTable, ReportBundle, _meta_lines, \
     render_number
 
 
 def rows_of(table) -> list:
-    """The rows of a column-held ``Table``."""
-    return [list(row) for row in zip(*table.data)]
+    """The rows of a column-held ``Table``; an array column holds the
+    values of its ``tolist()``."""
+    columns = (c.tolist() if isinstance(c, np.ndarray) else c
+               for c in table.data)
+    return [list(row) for row in zip(*columns)]
 
 
 def table_csv(columns, rows, meta: dict) -> str:

@@ -2,13 +2,14 @@
 
 Each case runs a campaign through ``cli.main`` in process and compares
 the sha256 of every file it writes with a digest recorded before the
-campaign result kept its (patterns, trials) arrays, or, for the last
-four cases, before short blocks were solved across patterns. The cases
-cover both topologies, all four gates, CSV and JSON, 1 to 4 and 8 inputs,
-runs that span two sampling blocks and runs whose patterns are solved in
-groups of 2, 16 and 256. They pin the histogram table and the
-``overlap_fraction`` meta value, which the benchmark's reference checks
-do not read.
+campaign result kept its (patterns, trials) arrays, or, for the later
+cases, before short blocks were solved across patterns or before trials
+tables were written as byte matrices. The cases cover both topologies,
+all four gates, CSV and JSON, 1 to 4 and 8 inputs, runs that span two
+sampling blocks, runs whose patterns are solved in groups of 2, 16 and
+256, and a trials table of more rows than one write chunk. They pin the
+histogram table and the ``overlap_fraction`` meta value, which the
+benchmark's reference checks do not read.
 """
 
 import hashlib
@@ -36,6 +37,9 @@ FLAGS = {
     ("2t1r", "nor", 8, "csv"): ["--trials", "16"],
     ("vgsot", "or", 3, "csv"): ["--trials", "1500"],
     ("2t1r", "nand", 2, "json"): ["--trials", "4099", "--sigma-ra", "0.05"],
+    # Recorded before trial tables were written as byte matrices: 67,200
+    # rows, more than one write chunk.
+    ("2t1r", "nor", 4, "csv"): ["--trials", "4200"],
 }
 
 # (topology, gate, inputs, format) -> {file name: sha256 of its bytes}
@@ -111,6 +115,14 @@ DIGESTS = {
     ('2t1r', 'nand', 2, 'json'): {
         "mc_report.json":
             "279ecdc05e674ed5bcf9a4f25d8cc41f29896908d2bd784d162d81a1bebbd8cb",
+    },
+    ('2t1r', 'nor', 4, 'csv'): {
+        "mc_histogram.csv":
+            "f111e6fc78bf58c7e01ea38806ba430051ce5821559f5ba8ad46fc55bbaacd42",
+        "mc_summary.csv":
+            "90e8404bda340f091af05279a54e5708502a8bd685420c2723bd3a099d2260ff",
+        "mc_trials.csv":
+            "8acc1a42c5d52f786419284537d75666ea6a7fad8d174a97e137b40f09d9d7ae",
     },
 }
 

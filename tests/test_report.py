@@ -13,7 +13,7 @@ from sotlogic import (ArraySpec, DeviceParams, GateKind, HistogramTable,
                       Table, Topology, VariationSpec, calibrate_gate,
                       config_digest, emit_csv, emit_json, make_bundle,
                       mc_tables, run_mc)
-from sotlogic.report import _table_csv, render_number
+from sotlogic.report import _float_cells, _table_csv, render_number
 
 
 def sample_bundle():
@@ -107,6 +107,20 @@ def test_table_columns_of_unequal_length_rejected(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+@pytest.mark.parametrize("column", [
+    [np.int64(1)], [np.True_], [object()], [1.5, np.int64(2)],
+    np.array([object()]), np.array([1, np.int64(2)], dtype=object)])
+def test_cells_json_cannot_encode_rejected(tmp_path, column):
+    # Rejected before the file is opened: an existing file keeps its bytes.
+    sentinel = tmp_path / "bad.json"
+    sentinel.write_bytes(b"kept\n")
+    ok = Table("a", ("x",), ([1.0],))
+    bad = make_bundle({}, tables=[ok, Table("t", ("a",), (column,))])
+    with pytest.raises(TypeError):
+        emit_json(bad, sentinel)
+    assert sentinel.read_bytes() == b"kept\n"
+
+
 def test_config_digest_stability():
     cfg = {"b": 2, "a": {"y": 1.5, "x": [1, 2]}}
     reordered = {"a": {"x": [1, 2], "y": 1.5}, "b": 2}
@@ -147,14 +161,34 @@ column_values = st.sampled_from((
 ))
 
 
+# Each array column draws its values from one of these, into its dtype.
+array_values = st.sampled_from((
+    (floats, np.float64),
+    (st.one_of(st.sampled_from((0, -1, 10**16 - 1, 10**16, 2**63 - 1,
+                                -2**63)), st.integers(-2**63, 2**63 - 1)),
+     np.int64),
+    (st.booleans(), np.bool_),
+    (texts, np.str_),
+))
+
+
 @st.composite
 def tables(draw):
+    """A table of sequence columns, of 1-D array columns, or of both."""
     n_rows = draw(st.sampled_from((0, 1, 2, 3, 17)))
     n_cols = draw(st.integers(0, 5))
-    data = tuple(draw(st.lists(draw(column_values), min_size=n_rows,
-                               max_size=n_rows)) for _ in range(n_cols))
+    arrays = draw(st.sampled_from(("none", "all", "some")))
+    data = []
+    for _ in range(n_cols):
+        if arrays == "all" or arrays == "some" and draw(st.booleans()):
+            values, dtype = draw(array_values)
+            data.append(np.array(draw(st.lists(
+                values, min_size=n_rows, max_size=n_rows)), dtype=dtype))
+        else:
+            data.append(draw(st.lists(draw(column_values), min_size=n_rows,
+                                      max_size=n_rows)))
     return Table(draw(st.sampled_from(("t", "trials", "b"))),
-                 tuple(f"c{k}" for k in range(n_cols)), data)
+                 tuple(f"c{k}" for k in range(n_cols)), tuple(data))
 
 
 def _oracle_or_error(fn, *args):
@@ -251,3 +285,49 @@ def test_mc_reports_equal_row_wise_oracle(tmp_path, topology, kind):
             report_oracle.histogram_csv(hist, bundle.meta)
     assert emit_json(bundle, tmp_path / "mc.json").read_text() == \
         report_oracle.json_text(bundle)
+
+
+# --- the %.9g kernel against % ------------------------------------------------
+
+def _formats_as_percent(values):
+    x = np.array(values, dtype=np.float64)
+    cells = _float_cells(x)
+    return [bytes(row[row != 0]).decode() for row in cells] == \
+        ["%.9g" % v for v in x.tolist()]
+
+
+# (m + 0.5) * 10**k for a 9-digit m: %.9g rounds at the tie.
+ties = st.builds(lambda m, k: float(f"{m}.5e{k}"),
+                 st.integers(10**8, 10**9 - 1), st.integers(-320, 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(),
+                                 ties), max_size=40))
+def test_float_cells_format_as_percent(values):
+    assert _formats_as_percent(values)
+
+
+def test_float_cells_format_as_percent_beside_every_power_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-310, 309)])
+    values = np.concatenate([powers, np.nextafter(powers, 0),
+                             np.nextafter(powers, np.inf)])
+    assert _formats_as_percent(np.concatenate([values, -values]))
+
+
+def test_array_columns_write_their_tolist_rows(tmp_path):
+    # Past one chunk of rows, with every cell rule and per-value formats.
+    n = 9000
+    rng = np.random.default_rng(1)
+    x = rng.uniform(-3e-4, 3e-4, n)
+    x[::97] = np.resize([0.0, -0.0, math.nan, -math.inf, 1.5e-320,
+                         1.0000000005, 1e-5, 123456789.5], n // 97 + 1)
+    data = (np.repeat(np.array(["00", "01", "10"]), n // 3),
+            np.tile(np.arange(n // 3), 3) - 5,
+            x, rng.uniform(size=n) < 0.5,
+            np.full(n, 1e300 / 3), np.full(n, 7, np.uint8))
+    table = Table("trials", ("p", "k", "x", "ok", "big", "u"), data)
+    bundle = make_bundle({"seed": 1}, tables=[table])
+    (path,) = emit_csv(bundle, tmp_path, "r")
+    assert path.read_text() == report_oracle.table_csv(
+        table.columns, report_oracle.rows_of(table), bundle.meta)

@@ -369,20 +369,21 @@ def test_campaign_spanning_blocks_is_worker_independent():
                           critical_sot_current(out_cell, 0.0))
 
 
-def test_trial_rows_are_plain_python_values():
+def test_trial_columns_are_arrays_of_the_row_values():
     spec, op = nor_setup()
     result = run_mc(spec, op, 7, VariationSpec(seed=3))
     _, trials, _, _ = mc_tables(result)
     assert trials.columns == ("pattern", "trial", "i_crit", "i_out", "success")
-    labels, index, i_crit, i_out, ok = trials.data
+    labels, index, i_crit, i_out, ok = (c.tolist() for c in trials.data)
     cases = list(itertools.product(result.patterns, range(7)))
     assert labels == [p.label for p, _ in cases]
     assert index == [k for _, k in cases]
     assert i_crit == [p.observables["i_crit"][k] for p, k in cases]
     assert i_out == [p.observables["i_out"][k] for p, k in cases]
     assert ok == [p.success_flags[k] for p, k in cases]
-    for column, kind in zip(trials.data, (str, int, float, float, bool)):
-        assert type(column) is list and {type(v) for v in column} == {kind}
+    for column, kind in zip(trials.data, "Uiffb"):
+        assert isinstance(column, np.ndarray) and column.ndim == 1
+        assert column.dtype.kind == kind
 
 
 def test_run_mc_validates_trial_count():
