@@ -3,10 +3,12 @@
 Identical inputs serialize byte-for-byte identically: no timestamps, sorted
 metadata, fixed column order, dot decimal separator, LF line endings, and
 floats rendered with 9 significant digits in CSV (full precision in JSON so
-round-trips are lossless). Table values are rendered a column at a time, by
-one rule per column chosen from an array column's dtype or from a sequence
-column's value types. A CSV table of array columns is written as byte
-matrices, its floats formatted by one numpy kernel.
+round-trips are lossless). A table holds each column as a 1-D numpy array
+of one of five dtype kinds (float, int, unsigned int, bool, str), and each
+kind has one rule per format: a ``%`` spec for CSV rows, a kernel for CSV
+byte matrices and a JSON text. A CSV table of at least ``_MATRIX_ROWS``
+rows is written as byte matrices, its floats formatted by one numpy
+kernel; a smaller one row by row.
 """
 
 from __future__ import annotations
@@ -28,12 +30,60 @@ SIGNIFICANT_DIGITS = 9
 @dataclass(frozen=True)
 class Table:
     """A named table held as columns: ``data[k]`` holds the values of
-    ``columns[k]``, one per row, as a sequence or a 1-D numpy array; an
-    array renders as its ``.tolist()`` would."""
+    ``columns[k]``, one per row, given as a list or tuple of one exact type
+    (float, int, bool or str) or as a 1-D array, and held as the 1-D array
+    of kind f, i, u, b or U whose ``tolist()`` gives them back. Any other
+    column raises TypeError or ValueError naming the table (``_column``)."""
 
     name: str
     columns: tuple
-    data: tuple  # of equally-long sequences, one per column
+    data: tuple  # of equally-long 1-D arrays, one per column
+
+    def __post_init__(self):
+        data = tuple(_column(self.name, column) for column in self.data)
+        if len(data) != len(self.columns) or len(set(map(len, data))) > 1:
+            raise ValueError(f"table {self.name!r}: columns of unequal length")
+        object.__setattr__(self, "data", data)
+
+
+# The exact type of a sequence column's values -> the dtype that holds them.
+_DTYPES = {float: np.float64, int: np.int64, bool: np.bool_, str: np.str_}
+
+
+def _column(name: str, column) -> np.ndarray:
+    """``column`` of table ``name`` as a 1-D array of kind f (at most 8
+    bytes), i, u, b or U. A sequence's values must be of one exact type,
+    checked before ``np.array``, which would coerce them silently:
+    ``[1.5, 2]`` to floats (JSON would write ``2.0``), ``[True, 1]`` to
+    ints, ``['a', 1]`` to text. Text holds no NUL: cells are NUL-padded,
+    and numpy drops a string's trailing NULs."""
+    if isinstance(column, (list, tuple)):
+        types = set(map(type, column))
+        if len(types) > 1 or not types <= _DTYPES.keys():
+            raise TypeError(f"table {name!r}: a column holds values of types "
+                            f"{sorted(t.__name__ for t in types)}, not one "
+                            "of float, int, bool or str")
+        dtype = _DTYPES[types.pop()] if types else np.float64
+        if dtype is np.str_ and "\0" in "".join(column):
+            raise ValueError(f"table {name!r}: text holds NUL")
+        try:
+            return np.array(column, dtype)
+        except OverflowError:
+            raise ValueError(f"table {name!r}: an int lies outside int64") \
+                from None
+    if not isinstance(column, np.ndarray):
+        raise TypeError(f"table {name!r}: a column is a list, tuple or "
+                        f"array, not {type(column).__name__}")
+    kind = column.dtype.kind
+    if column.ndim != 1:
+        raise ValueError(f"table {name!r}: array columns must be 1-D")
+    if kind not in "fiubU" or kind == "f" and column.itemsize > 8:
+        raise TypeError(f"table {name!r}: no rule renders dtype {column.dtype}")
+    if kind == "U":
+        codes = _text_codes(column)  # NUL-padded: a NUL before a code is text
+        if ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any():
+            raise ValueError(f"table {name!r}: text holds NUL")
+    return column
 
 
 @dataclass(frozen=True)
@@ -66,89 +116,17 @@ def make_bundle(meta: dict, tables=(), histograms=()) -> ReportBundle:
                         histograms=tuple(histograms))
 
 
-def render_number(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, f".{SIGNIFICANT_DIGITS}g")
-    return str(value)
-
-
 def _meta_lines(meta: dict):
     return [f"# {key}={meta[key]}" for key in sorted(meta)]
 
 
-def _row_count(table: Table) -> int:
-    """The table's number of rows; raises ValueError unless ``table.data``
-    holds one sequence or 1-D array per column, all of one length."""
-    if any(getattr(column, "ndim", 1) != 1 for column in table.data):
-        raise ValueError(f"table {table.name!r}: array columns must be 1-D")
-    lengths = set(map(len, table.data))
-    if len(table.data) != len(table.columns) or len(lengths) > 1:
-        raise ValueError(f"table {table.name!r}: columns of unequal length")
-    return lengths.pop() if lengths else 0
-
-
-def _column_type(column):
-    """The one exact type of a column's values, or None when they differ.
-
-    Exact, not ``isinstance``: ``bool`` is a subclass of ``int`` and numpy
-    scalars subclass ``float``; both take the per-value rule.
-    """
-    types = set(map(type, column))
-    return types.pop() if len(types) == 1 else None
-
-
-# numpy dtype kind -> the type of the values ``tolist()`` gives; floats
-# wider than a double give numpy scalars.
-_KIND_TYPE = {"f": float, "i": int, "u": int, "b": bool, "U": str}
-_CHUNK_ROWS = 4096  # rows of an array column converted or written at a time
-
-
-def _plain_array(column) -> bool:
-    """Whether ``column`` is an array whose ``tolist()`` values are all of
-    one plain type: float, int, bool or str."""
-    return isinstance(column, np.ndarray) and column.dtype.kind in _KIND_TYPE \
-        and not (column.dtype.kind == "f" and column.itemsize > 8)
-
-
-def _typed_values(column):
-    """(the one exact type of the column's values or None, the values):
-    a plain array's type comes from its dtype, and its values are
-    converted ``_CHUNK_ROWS`` at a time as they are iterated; any other
-    column's type comes from its values."""
-    if _plain_array(column):
-        return _KIND_TYPE[column.dtype.kind], chain.from_iterable(
-            column[k:k + _CHUNK_ROWS].tolist()
-            for k in range(0, len(column), _CHUNK_ROWS))
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    return _column_type(values), values
-
-
-_BOOL_TEXT = {True: "true", False: "false"}
-
-
-def _csv_column(column):
-    """A column's ``%`` conversion spec and the values it converts: the
-    values themselves where the column holds one plain type, else their
-    ``render_number`` text. ``%.9g`` and ``%d`` write what ``render_number``
-    writes for a float and an int."""
-    kind, column = _typed_values(column)
-    if kind is float:
-        return f"%.{SIGNIFICANT_DIGITS}g", column
-    if kind is int:
-        return "%d", column
-    if kind is bool:
-        return "%s", map(_BOOL_TEXT.__getitem__, column)
-    if kind is str:
-        return "%s", column
-    return "%s", map(render_number, column)
-
-
 # --- columns as byte matrices ---------------------------------------------------
 #
-# A cell is a row of a uint8 matrix holding its ASCII text, padded anywhere
+# A cell is a row of a uint8 matrix holding its UTF-8 text, padded anywhere
 # with NUL bytes, which are dropped when a table's rows are joined.
+
+_CHUNK_ROWS = 4096  # rows of a column converted or written at a time
+
 
 def _words(texts):
     """Little-endian uint64 words holding the texts, each padded with NULs
@@ -299,50 +277,57 @@ def _int_cells(x):
 def _text_codes(x):
     """The code points of a str array, one row per value, NUL-padded."""
     x = np.ascontiguousarray(x, x.dtype.newbyteorder("="))
-    return x.view(np.uint32).reshape(len(x), -1)
+    return x.view(np.uint32).reshape(len(x), x.itemsize // 4)
 
 
 def _text_cells(x):
-    return _text_codes(x).astype(np.uint8)
+    """The UTF-8 bytes of each value of a str array, as cells. ASCII text
+    is its code points; ``np.char.encode`` costs a Python call per value."""
+    codes = _text_codes(x)
+    if codes.max(initial=0) < 128:
+        return codes.astype(np.uint8)
+    return np.char.encode(x, "utf-8").view(np.uint8).reshape(len(x), -1)
 
 
 def _bool_cells(x):
     return _BOOL_WORDS[x.view(np.uint8)].view(np.uint8).reshape(len(x), 8)
 
 
-def _cell_renderer(column):
-    """The function that renders slices of ``column`` as cells, or None
-    where the column takes the row path: it is not a plain array, or its
-    text has no cell rule."""
-    if not _plain_array(column):
-        return None
-    kind = column.dtype.kind
-    if kind == "f":
-        return _float_cells
-    if kind in "iu":
-        return _int_cells
-    if kind == "b":
-        return _bool_cells
-    if kind == "U":
-        # ASCII with no NUL but the padding (numpy drops trailing NULs
-        # itself, as ``tolist()`` shows).
-        codes = _text_codes(column)
-        if codes.max(initial=0) < 128 and \
-                not ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any():
-            return _text_cells
-    return None
+_BOOL_TEXT = {True: "true", False: "false"}
+
+# Per dtype kind of a column: the ``%`` spec of its CSV cell in a row (a
+# bool's spec takes its JSON text), the kernel that renders a slice of it
+# as byte-matrix cells, and the JSON text of a value. ``%.9g`` and ``%d``
+# write what the kernels write.
+_RULES = {
+    "f": (f"%.{SIGNIFICANT_DIGITS}g", _float_cells, float.__repr__),
+    "i": ("%d", _int_cells, int.__repr__),
+    "u": ("%d", _int_cells, int.__repr__),
+    "b": ("%s", _bool_cells, _BOOL_TEXT.__getitem__),
+    "U": ("%s", _text_cells, encode_basestring_ascii),
+}
+
+# Tables of at least this many rows are written as byte matrices, smaller
+# ones row by row with ``%``. A matrix costs a fixed ~0.1 ms of numpy calls
+# and ~40 us more per int column; a row costs ~0.3 us per cell more than a
+# matrix row. The paths break even at ~30 rows on a sweep table (floats and
+# bools), ~64 on a margin table and ~250 on int-heavy truth tables and
+# histograms; at 64, tables of up to 5 inputs and 32-bin histograms take
+# rows, and sweeps and MC trials take matrices.
+_MATRIX_ROWS = 64
 
 
-def _matrix_csv(data, renderers, n_rows: int):
-    """The rows of a table whose every column has a cell renderer, as text
-    chunks of ``_CHUNK_ROWS`` rows: per chunk, the float columns' cells come
-    from one ``_float_cells`` call, every column's cells and the commas and
-    newline go into one byte matrix, and its NULs are dropped."""
-    floats = [k for k, render in enumerate(renderers) if render is _float_cells]
+def _matrix_csv(data, n_rows: int):
+    """The rows of a table as text chunks of ``_CHUNK_ROWS`` rows: per
+    chunk, the float columns' cells come from one ``_float_cells`` call,
+    every column's cells and the commas and newline go into one byte
+    matrix, and its NULs are dropped."""
+    floats = [k for k, column in enumerate(data) if column.dtype.kind == "f"]
     for start in range(0, n_rows, _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
-        cells = [render(column[part]) if render is not _float_cells else None
-                 for column, render in zip(data, renderers)]
+        cells = [None if column.dtype.kind == "f"
+                 else _RULES[column.dtype.kind][1](column[part])
+                 for column in data]
         if floats:
             values = np.concatenate([data[k][part] for k in floats])
             stacked = _float_cells(values.astype(np.float64, copy=False))
@@ -357,7 +342,7 @@ def _matrix_csv(data, renderers, n_rows: int):
             end += width
             matrix[:, end - 1] = ord(",")
         matrix[:, -1] = ord("\n")
-        yield matrix.tobytes().translate(None, b"\0").decode("ascii")
+        yield matrix.tobytes().translate(None, b"\0").decode("utf-8")
 
 
 def _batched(texts, size: int = 1024):
@@ -371,20 +356,17 @@ def _batched(texts, size: int = 1024):
 
 def _table_csv(table: Table, meta: dict):
     """The text of ``table``'s CSV file, in pieces rendered as they are
-    iterated; the table is checked before the first one. A table whose
-    every column is an array with a cell rule is written as byte matrices,
-    any other row by row."""
+    iterated: byte matrices for a table of ``_MATRIX_ROWS`` rows or more,
+    else rows formatted by ``%``."""
     head = "".join(line + "\n" for line in _meta_lines(meta))
     head += ",".join(table.columns) + "\n"
-    n_rows = _row_count(table)
-    if not n_rows:
-        return [head]
-    renderers = list(map(_cell_renderer, table.data))
-    if all(renderers):
-        return chain([head], _matrix_csv(table.data, renderers, n_rows))
-    specs, values = zip(*map(_csv_column, table.data))
-    rows = map((",".join(specs) + "\n").__mod__, zip(*values))
-    return chain([head], _batched(rows))
+    n_rows = len(table.data[0]) if table.data else 0
+    if n_rows >= _MATRIX_ROWS:
+        return chain([head], _matrix_csv(table.data, n_rows))
+    spec = ",".join(_RULES[c.dtype.kind][0] for c in table.data) + "\n"
+    values = (map(_BOOL_TEXT.__getitem__, c.tolist()) if c.dtype.kind == "b"
+              else c.tolist() for c in table.data)
+    return [head, "".join(map(spec.__mod__, zip(*values)))]
 
 
 def emit_csv(bundle: ReportBundle, out_dir, prefix: str):
@@ -403,9 +385,8 @@ def emit_csv(bundle: ReportBundle, out_dir, prefix: str):
     written = []
     for table in (*bundle.tables, *histograms):
         path = out / f"{prefix}_{table.name}.csv"
-        pieces = _table_csv(table, bundle.meta)  # checks the table first
         with path.open("w") as f:
-            f.writelines(pieces)
+            f.writelines(_table_csv(table, bundle.meta))
         written.append(path)
     return written
 
@@ -423,32 +404,23 @@ _VALUE_DEPTH = _ROWS_DEPTH + 2
 
 
 def _json_column(column):
-    """The JSON text of each value of a column, by one C-level loop where
-    the column holds a single plain type. ``float.__repr__`` spells
-    non-finite floats ``nan``/``inf`` where JSON has ``NaN``/``Infinity``,
-    so such a column is encoded value by value. The text of a column that
-    is not a plain array is rendered here, so that a value the encoder
-    rejects raises now."""
-    kind, values = _typed_values(column)
-    if kind is float and np.isfinite(column).all():
-        texts = map(float.__repr__, values)
-    elif kind is int:
-        texts = map(int.__repr__, values)
-    elif kind is bool:
-        texts = map(_BOOL_TEXT.__getitem__, values)
-    elif kind is str:
-        texts = map(encode_basestring_ascii, values)
-    else:
-        texts = map(_json_text, values, repeat(_VALUE_DEPTH))
-    return texts if _plain_array(column) else list(texts)
+    """The JSON text of each value of a column, converted ``_CHUNK_ROWS``
+    values at a time as iterated. ``float.__repr__`` spells non-finite
+    floats ``nan``/``inf`` where JSON has ``NaN``/``Infinity``, so a float
+    column holding one is encoded by ``json.dumps``."""
+    text = _RULES[column.dtype.kind][2]
+    if text is float.__repr__ and not np.isfinite(column).all():
+        text = json.dumps
+    return map(text, chain.from_iterable(
+        column[k:k + _CHUNK_ROWS].tolist()
+        for k in range(0, len(column), _CHUNK_ROWS)))
 
 
 def _rows_json(table: Table):
     """The rows of ``table`` as ``json.dumps(indent=2)`` writes them in the
     document, rendered column by column: chunks of text, one per row and
-    rendered as they are iterated, then the list's closing bracket. Raises
-    here, not while iterated, for a value the encoder rejects."""
-    if not _row_count(table):
+    rendered as they are iterated, then the list's closing bracket."""
+    if not table.data or not len(table.data[0]):
         return ["[]"]
     outer = "\n" + "  " * (_ROWS_DEPTH + 1)
     inner = "\n" + "  " * _VALUE_DEPTH
@@ -477,16 +449,13 @@ def emit_json(bundle: ReportBundle, path) -> Path:
     table_heads = [f'\n    {_json_text(name, 2)}: {{\n      "columns": '
                    f'{_json_text(list(tables[name].columns), 3)},\n      "rows": '
                    for name in names]
-    for table in bundle.tables:
-        _row_count(table)  # raises before the file is opened
-    rows = [_rows_json(tables[name]) for name in names]  # so does this
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
         f.write(head)
-        for k, (table_head, table_rows) in enumerate(zip(table_heads, rows)):
+        for k, (table_head, name) in enumerate(zip(table_heads, names)):
             f.write(("," if k else "") + table_head)
-            f.writelines(_batched(table_rows))
+            f.writelines(_batched(_rows_json(tables[name])))
             f.write("\n    }")
         f.write("\n  }\n}\n" if names else "}\n}\n")
     return path

@@ -12,18 +12,24 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
+from sotlogic.report import SIGNIFICANT_DIGITS, HistogramTable, \
+    ReportBundle, _meta_lines
 
-from sotlogic.report import HistogramTable, ReportBundle, _meta_lines, \
-    render_number
+
+def render_number(value) -> str:
+    """A CSV cell's text: a bool in lower case, a float at
+    ``SIGNIFICANT_DIGITS`` significant digits, anything else by ``str``."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, f".{SIGNIFICANT_DIGITS}g")
+    return str(value)
 
 
 def rows_of(table) -> list:
-    """The rows of a column-held ``Table``; an array column holds the
-    values of its ``tolist()``."""
-    columns = (c.tolist() if isinstance(c, np.ndarray) else c
-               for c in table.data)
-    return [list(row) for row in zip(*columns)]
+    """The rows of a column-held ``Table``: the values of its columns'
+    ``tolist()``."""
+    return [list(row) for row in zip(*(c.tolist() for c in table.data))]
 
 
 def table_csv(columns, rows, meta: dict) -> str:
