@@ -5,20 +5,27 @@ metadata, fixed column order, dot decimal separator, LF line endings, and
 floats rendered with 9 significant digits in CSV (full precision in JSON so
 round-trips are lossless). A table holds each column as a 1-D numpy array
 of one of five dtype kinds (float, int, unsigned int, bool, str), and each
-kind has one rule per format: a ``%`` spec for CSV rows, a kernel for CSV
-byte matrices and a JSON text. A CSV table of at least ``_MATRIX_ROWS``
-rows is written as byte matrices, its floats formatted by one numpy
-kernel; a smaller one row by row.
+kind has one rule per format (``_RULES``): a ``%`` spec and a byte-matrix
+kernel for CSV, a per-value text and a byte-matrix kernel for JSON. A
+table of at least ``_MATRIX_ROWS`` rows is written as byte matrices in
+either format, a smaller one row by row. The float kernels format a whole
+array with numpy: ``_float_cells`` writes ``%.9g``, ``_repr_cells`` writes
+``float.__repr__``, the shortest text that reads back as the value.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
+import re
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,6 +55,7 @@ class Table:
 
 # The exact type of a sequence column's values -> the dtype that holds them.
 _DTYPES = {float: np.float64, int: np.int64, bool: np.bool_, str: np.str_}
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _column(name: str, column) -> np.ndarray:
@@ -55,8 +63,9 @@ def _column(name: str, column) -> np.ndarray:
     bytes), i, u, b or U. A sequence's values must be of one exact type,
     checked before ``np.array``, which would coerce them silently:
     ``[1.5, 2]`` to floats (JSON would write ``2.0``), ``[True, 1]`` to
-    ints, ``['a', 1]`` to text. Text holds no NUL: cells are NUL-padded,
-    and numpy drops a string's trailing NULs."""
+    ints, ``['a', 1]`` to text. Text holds no NUL (cells are NUL-padded,
+    and numpy drops a string's trailing NULs) and no surrogate code point
+    (UTF-8 has none)."""
     if isinstance(column, (list, tuple)):
         types = set(map(type, column))
         if len(types) > 1 or not types <= _DTYPES.keys():
@@ -64,8 +73,12 @@ def _column(name: str, column) -> np.ndarray:
                             f"{sorted(t.__name__ for t in types)}, not one "
                             "of float, int, bool or str")
         dtype = _DTYPES[types.pop()] if types else np.float64
-        if dtype is np.str_ and "\0" in "".join(column):
-            raise ValueError(f"table {name!r}: text holds NUL")
+        if dtype is np.str_:
+            text = "".join(column)
+            if "\0" in text:
+                raise ValueError(f"table {name!r}: text holds NUL")
+            if _SURROGATE.search(text):
+                raise ValueError(f"table {name!r}: text holds a surrogate")
         try:
             return np.array(column, dtype)
         except OverflowError:
@@ -83,6 +96,8 @@ def _column(name: str, column) -> np.ndarray:
         codes = _text_codes(column)  # NUL-padded: a NUL before a code is text
         if ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any():
             raise ValueError(f"table {name!r}: text holds NUL")
+        if ((codes >= 0xD800) & (codes < 0xE000)).any():
+            raise ValueError(f"table {name!r}: text holds a surrogate")
     return column
 
 
@@ -171,24 +186,48 @@ _SUFFIX_WORDS = _words(b"" if -4 <= e < 9 else b"e%+03d" % e
                        for e in _EXPONENTS)
 
 
-def _mantissa_masks():
-    """Masks and decimal points of a value's three mantissa words, as rows
-    keyed by ``point_after * 10 + shown`` (see ``_float_cells``). Across
-    the words, digit j sits at byte 6 + 2j and is kept if j < shown; the
-    point slot after it is byte 7 + 2j, holding "." if j = point_after - 1
-    and a digit follows."""
-    after, shown = np.divmod(np.arange(100), 10)
-    j = np.arange(9)
-    keep = np.zeros((100, 24), np.uint8)
-    point = np.zeros((100, 24), np.uint8)
+def _mantissa_masks(n: int):
+    """Decimal points and digit masks of the words of an n-digit mantissa
+    (n = 4k + 1), as tables keyed by ``point_after * (n + 1) + shown``: the
+    point words of every word, and the keep words of all but the first
+    (whose lead digit is always kept). Across the words, digit j sits at
+    byte 6 + 2j and is kept if j < shown; the point slot after it is byte
+    7 + 2j, holding "." if j = point_after - 1 and a digit follows."""
+    after, shown = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    j = np.arange(n)
+    keep = np.zeros(((n + 1) ** 2, 2 * n + 6), np.uint8)
+    point = np.zeros_like(keep)
     keep[:, 6::2] = 255 * (j < shown[:, None])
     point[:, 7::2] = ord(".") * ((j == after[:, None] - 1) &
                                  (after[:, None] < shown[:, None]))
     point, keep = point.view("<u8").T.copy(), keep.view("<u8").T.copy()
-    return (*point, *keep[1:])
+    return tuple(point), tuple(keep[1:])
 
 
-_POINT0, _POINT1, _POINT2, _KEEP1, _KEEP2 = _mantissa_masks()
+_MASKS9 = _mantissa_masks(9)
+
+
+def _mantissa_cells(x, e, lead, groups, key, masks, suffixes):
+    """Cells of the mantissas of ``x`` at decimal exponents ``e``: the lead
+    digits, the 4-digit groups after them, decimal points and kept digits
+    by ``masks[key]`` and the exponent suffix ``suffixes[_E0 + e]``.
+
+    A cell is words: sign, "0.000" prefix, lead digit and point; 4 digits
+    and points per group; the suffix. Digits past the last shown one are
+    NUL, and so are the prefix and suffix bytes a cell has no use for.
+    """
+    points, keeps = masks
+    prefix = _PREFIX_WORDS[np.signbit(x) * len(_EXPONENTS) + _E0 + e]
+    suffix = suffixes[_E0 + e]
+    words = np.empty((len(x), len(groups) + 2), "<u8")
+    words[:, 0] = prefix | _LEAD_WORDS[lead] | points[0][key]
+    for k, group in enumerate(groups, 1):
+        words[:, k] = _DIGITS4_SPREAD[group] & keeps[k - 1][key] | \
+            points[k][key]
+    words[:, -1] = suffix
+    end = 8 * words.shape[1]
+    return words.view(np.uint8)[:, 0 if prefix.any() else 6:
+                                end if suffix.any() else end - 8]
 
 
 def _fallback_cells(cells, where, texts):
@@ -213,10 +252,8 @@ def _float_cells(x):
     rounds as the exact one does unless it lies within 1e-5 of a tie: such
     values, and those that are not finite or whose magnitude lies outside
     [1e-290, 1e290] (0 aside), are formatted one at a time by ``%``.
-
-    A cell is four words: sign, "0.000" prefix, lead digit and point; the
-    next 4 digits and points; the last 4; the exponent suffix. Digits past
-    the last significant one (or past the point, if later) are NUL.
+    A mantissa shows its digits up to the last significant one, or up to
+    the point if that is later (``_mantissa_cells``).
     """
     a = np.abs(x)
     regular = (a >= 1e-290) & (a <= 1e290)  # False for 0, inf and nan
@@ -244,18 +281,159 @@ def _float_cells(x):
     after = _POINT_AFTER[_E0 + e]
     key = after * 10 + np.maximum(np.maximum(_SHOWN_LOW[low],
                                              _SHOWN_HIGH[high]), after)
-    prefix = _PREFIX_WORDS[np.signbit(x) * len(_EXPONENTS) + _E0 + e]
-    suffix = _SUFFIX_WORDS[_E0 + e]
-    words = np.empty((len(x), 4), "<u8")
-    words[:, 0] = prefix | _LEAD_WORDS[lead] | _POINT0[key]
-    words[:, 1] = _DIGITS4_SPREAD[high] & _KEEP1[key] | _POINT1[key]
-    words[:, 2] = _DIGITS4_SPREAD[low] & _KEEP2[key] | _POINT2[key]
-    words[:, 3] = suffix
-    cells = words.view(np.uint8)[:, 0 if prefix.any() else 6:
-                                 32 if suffix.any() else 24]
+    cells = _mantissa_cells(x, e, lead, (high, low), key, _MASKS9,
+                            _SUFFIX_WORDS)
     where = np.flatnonzero(fallback)
     return _fallback_cells(cells, where, [
         b"%.9g" % v for v in x[where].tolist()])
+
+
+_TWO_PRODUCT_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into 26 bits
+_UNDECIDED = 1e-7  # in units of the last of 17 digits
+
+
+@functools.cache
+def _repr_tables():
+    """The tables of ``_repr_cells``, built on its first call.
+
+    ``power``: per exponent k, at [_E0 + k], 10**k as hi + lo -- hi the
+    correctly rounded ``_POW10[_E0 + k]``, lo the correctly rounded rest,
+    from exact integers -- and hi split into two halves of at most 26 bits
+    (scaled to stay finite). ``shown[k][g]``: the digits of a 17-digit
+    mantissa up to the last significant one in its 4-digit group k = 0..3
+    holding g, or 0 for g = 0. ``keys``: at [(_E0 + e) * 18 + shown], the
+    mask key of a mantissa at decimal exponent e in repr's layout, where a
+    positional text shows at least one digit after the point. ``suffixes``:
+    the "e+XX" of exponent layout, empty for positional text (-4 <= e < 16).
+    """
+    power = []
+    for k, hi in zip(_EXPONENTS, _POW10.tolist()):
+        if not math.isfinite(hi):
+            power.append((hi, 0.0, 0.0, 0.0))
+            continue
+        n, d = hi.as_integer_ratio()  # d is a power of two
+        lo = ((10 ** k * d - n) / d if k >= 0
+              else (d - n * 10 ** -k) / (d * 10 ** -k))
+        scale = 2.0 ** -128 if hi > 1e200 else 1.0
+        t = _TWO_PRODUCT_SPLIT * (hi * scale)
+        high = (t - (t - hi * scale)) / scale
+        power.append((hi, high, hi - high, lo))
+    shown = np.where(_K4 > 0, np.arange(5, 18, 4)[:, None] - _ZEROS4, 0)
+    after = np.array([e + 1 if 0 <= e < 16 else 0 if -4 <= e < 0 else 1
+                      for e in _EXPONENTS])
+    least = np.array([e + 2 if 0 <= e < 16 else 1 for e in _EXPONENTS])
+    keys = after[:, None] * 18 + np.maximum(np.arange(18), least[:, None])
+    return SimpleNamespace(
+        power=tuple(np.array(power).T.copy()), shown=shown.astype(np.uint8),
+        keys=keys.ravel(), masks=_mantissa_masks(17),
+        suffixes=_words(b"" if -4 <= e < 16 else b"e%+03d" % e
+                        for e in _EXPONENTS))
+
+
+def _scaled(a, e, power):
+    """a * 10**(16 - e) as an unevaluated sum of two doubles: the product
+    of a with hi + lo, a * hi made exact by Dekker's two-product (numpy has
+    no fused multiply-add), then normalised."""
+    k = _E0 + 16 - e
+    hi, high, low, lo = (table[k] for table in power)
+    split = a * _TWO_PRODUCT_SPLIT
+    a_high = split - (split - a)
+    a_low = a - a_high
+    p = a * hi
+    rest = ((a_high * high - p) + a_high * low + a_low * high) + \
+        a_low * low + a * lo
+    s = p + rest
+    return s, rest - (s - p)
+
+
+def _shortest(a, t):
+    """repr's digits of the magnitudes ``a``, each in [1e-290, 1e290]: the
+    decimal exponents e, the digits as 17-digit mantissas m (trailing zeros
+    padding a shorter text), and where the choice is undecided.
+
+    The value scaled to 17 integer digits, s = a * 10**(16 - e), is formed
+    in double-double arithmetic to ~1e-14, and its 15-, 16- and 17-digit
+    roundings R15, R16, R17 come from its integer part by integer division.
+    A rounding reads back iff it lies within half an ulp of a of s:
+    h = 2**(E - 53) in s's units for a in [2**E, 2**(E + 1)). R15 is taken
+    if it reads back (at most one 15-digit decimal does, so it gives the
+    shortest text), else R16 if it does (the nearest of the 16-digit ones),
+    else R17. Undecided are the choices that rest on a distance within
+    ``_UNDECIDED`` of h or of a rounding tie (repr reads and rounds ties to
+    even), and powers of two whose R15 does not read back: their rounding
+    interval is narrower below them than above.
+    """
+    bits = a.view(np.int64)
+    binary = (bits >> 52) - 1023
+    # The decimal exponent or one less (see _float_cells), raised where the
+    # rounded product reaches 1e17; checked on the exact sum, since the
+    # product of a value just below a power of ten may round up to it.
+    e = binary * 78913 >> 18
+    e += a * _POW10[_E0 + 16 - e] >= 1e17
+    s, rest = _scaled(a, e, t.power)
+    fix = ((s > 1e17) | (s == 1e17) & (rest >= 0)).astype(np.int64) - \
+        ((s < 1e16) | (s == 1e16) & (rest < 0))
+    if fix.any():
+        e += fix
+        s, rest = _scaled(a, e, t.power)
+    floor = np.floor(rest)
+    frac = rest - floor
+    i17 = s.astype(np.int64) + floor.astype(np.int64)
+    h = _POW10[_E0 + 16 - e] * ((binary + (1023 - 53)) << 52).view(np.float64)
+    r15 = (i17 + 50) // 100 * 100
+    r16 = (i17 + 5) // 10 * 10
+    d15 = (r15 - i17) - frac  # signed: R15 - s
+    d16 = np.abs((r16 - i17) - frac)
+    power_of_two = (bits & (1 << 52) - 1) == 0
+    below = np.where(power_of_two, h / 2, h)
+    ok15 = (d15 < h - _UNDECIDED) & (d15 > _UNDECIDED - below)
+    ok16 = d16 < h - _UNDECIDED
+    undecided = ~ok15 & (power_of_two | (np.abs(d15) < h + _UNDECIDED) |
+                         (np.abs(d16 - h) < _UNDECIDED) |
+                         (d16 > 5 - _UNDECIDED) |  # R16 at a tie
+                         (np.abs(frac - 0.5) < _UNDECIDED))  # R17 at a tie
+    m = np.where(ok15, r15, np.where(ok16, r16, i17 + (frac >= 0.5)))
+    carry = m >= 10 ** 17
+    if carry.any():
+        e += carry
+        m[carry] = 10 ** 16
+    return e, m, undecided
+
+
+def _repr_cells(x):
+    """The JSON text of each value of the float64 array ``x``, as cells:
+    ``float.__repr__`` of a finite value, ``NaN``, ``Infinity`` or
+    ``-Infinity`` of the others. repr's digits come from ``_shortest``, and
+    these values are formatted one at a time instead: the not finite,
+    those whose magnitude lies outside [1e-290, 1e290] (0 aside), and
+    those whose digits ``_shortest`` leaves undecided."""
+    t = _repr_tables()
+    a = np.abs(x)
+    regular = (a >= 1e-290) & (a <= 1e290)  # False for 0, inf and nan
+    if regular.all():
+        e, m, fallback = _shortest(a, t)
+    else:
+        # Zero keeps exponent 0 and takes mantissa 0: "0.0" or "-0.0".
+        fallback = ~(regular | (x == 0))
+        e = np.zeros(len(x), np.int64)
+        m = np.zeros(len(x), np.int64)
+        where = np.flatnonzero(regular)
+        e[where], m[where], fallback[where] = _shortest(a[where], t)
+    # The lead digit and four groups of 4, from two halves of 8 digits.
+    high = m // 10 ** 8
+    low = m - high * 10 ** 8
+    lead = high // 10 ** 8
+    high -= lead * 10 ** 8
+    top, bottom = high // 10000, low // 10000
+    groups = (top, high - top * 10000, bottom, low - bottom * 10000)
+    shown = t.shown[0][groups[0]]
+    for table, group in zip(t.shown[1:], groups[1:]):
+        shown = np.maximum(shown, table[group])
+    key = t.keys[(_E0 + e) * 18 + shown]
+    cells = _mantissa_cells(x, e, lead, groups, key, t.masks, t.suffixes)
+    where = np.flatnonzero(fallback)
+    return _fallback_cells(cells, where, [
+        json.dumps(v).encode() for v in x[where].tolist()])
 
 
 def _int_cells(x):
@@ -289,59 +467,95 @@ def _text_cells(x):
     return np.char.encode(x, "utf-8").view(np.uint8).reshape(len(x), -1)
 
 
+# The code points that JSON text holds as they are, NUL (the padding of a
+# cell) among them; 128 stands for every code point past ASCII.
+_JSON_PLAIN = np.zeros(129, bool)
+_JSON_PLAIN[0x20:0x7f] = True
+_JSON_PLAIN[[0, ord('"'), ord("\\")]] = True, False, False
+
+
+def _json_text_cells(x):
+    """``encode_basestring_ascii`` of each value of a str array, as cells:
+    text of printable ASCII but ``"`` and ``\\`` is its code points in
+    quotes, and other text is escaped one value at a time."""
+    codes = _text_codes(x)
+    cells = np.full((len(x), codes.shape[1] + 2), ord('"'), np.uint8)
+    cells[:, 1:-1] = codes.astype(np.uint8)
+    where = np.flatnonzero(~_JSON_PLAIN[np.minimum(codes, 128)].all(1))
+    return _fallback_cells(cells, where, [
+        encode_basestring_ascii(v).encode() for v in x[where].tolist()])
+
+
 def _bool_cells(x):
     return _BOOL_WORDS[x.view(np.uint8)].view(np.uint8).reshape(len(x), 8)
 
 
 _BOOL_TEXT = {True: "true", False: "false"}
 
-# Per dtype kind of a column: the ``%`` spec of its CSV cell in a row (a
-# bool's spec takes its JSON text), the kernel that renders a slice of it
-# as byte-matrix cells, and the JSON text of a value. ``%.9g`` and ``%d``
-# write what the kernels write.
+
+class _Rule(NamedTuple):
+    csv_row: str  # the ``%`` spec of a CSV cell in a row
+    csv_cells: Callable  # a slice of a column -> its CSV byte-matrix cells
+    json_value: Callable  # a value -> its JSON text
+    json_cells: Callable  # a slice of a column -> its JSON byte-matrix cells
+
+
+# The rules of each dtype kind of a column. A bool's CSV spec takes its
+# JSON text; ``%.9g``, ``%d`` and the JSON texts write what the kernels
+# write. An int's and a bool's JSON text is its CSV text.
 _RULES = {
-    "f": (f"%.{SIGNIFICANT_DIGITS}g", _float_cells, float.__repr__),
-    "i": ("%d", _int_cells, int.__repr__),
-    "u": ("%d", _int_cells, int.__repr__),
-    "b": ("%s", _bool_cells, _BOOL_TEXT.__getitem__),
-    "U": ("%s", _text_cells, encode_basestring_ascii),
+    "f": _Rule(f"%.{SIGNIFICANT_DIGITS}g", _float_cells, float.__repr__,
+               _repr_cells),
+    "i": _Rule("%d", _int_cells, int.__repr__, _int_cells),
+    "u": _Rule("%d", _int_cells, int.__repr__, _int_cells),
+    "b": _Rule("%s", _bool_cells, _BOOL_TEXT.__getitem__, _bool_cells),
+    "U": _Rule("%s", _text_cells, encode_basestring_ascii, _json_text_cells),
 }
 
 # Tables of at least this many rows are written as byte matrices, smaller
-# ones row by row with ``%``. A matrix costs a fixed ~0.1 ms of numpy calls
-# and ~40 us more per int column; a row costs ~0.3 us per cell more than a
-# matrix row. The paths break even at ~30 rows on a sweep table (floats and
-# bools), ~64 on a margin table and ~250 on int-heavy truth tables and
-# histograms; at 64, tables of up to 5 inputs and 32-bin histograms take
-# rows, and sweeps and MC trials take matrices.
+# ones row by row, in CSV and JSON alike. A CSV matrix costs a fixed
+# ~0.1 ms of numpy calls and ~40 us more per int column; a row costs
+# ~0.3 us per cell more than a matrix row. The CSV paths break even at ~30
+# rows on a sweep table (floats and bools), ~64 on a margin table and ~250
+# on int-heavy truth tables and histograms. A JSON matrix costs a fixed
+# ~0.3 ms (most of it the repr kernel's), and the JSON paths break even
+# at ~45, ~64 and ~125 rows on the same tables. At 64, tables of up to 5
+# inputs and 32-bin histograms take rows, and sweeps and MC trials take
+# matrices.
 _MATRIX_ROWS = 64
 
 
-def _matrix_csv(data, n_rows: int):
-    """The rows of a table as text chunks of ``_CHUNK_ROWS`` rows: per
-    chunk, the float columns' cells come from one ``_float_cells`` call,
-    every column's cells and the commas and newline go into one byte
-    matrix, and its NULs are dropped."""
-    floats = [k for k, column in enumerate(data) if column.dtype.kind == "f"]
+def _matrix_rows(data, n_rows: int, cells_of: str, seps):
+    """The rows of a table as text chunks of ``_CHUNK_ROWS`` rows, each
+    column's cells rendered by its rule's kernel ``cells_of``. Per chunk,
+    the float columns' cells come from one kernel call, and every column's
+    cells go into one byte matrix between constant separator columns --
+    ``seps[0]`` before a row's first cell, ``seps[1]`` between cells and
+    ``seps[2]`` after the last -- whose NULs are then dropped."""
+    kinds = [column.dtype.kind for column in data]
+    floats = [k for k, kind in enumerate(kinds) if kind == "f"]
+    first, between, last = (np.frombuffer(s.encode(), np.uint8) for s in seps)
     for start in range(0, n_rows, _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
-        cells = [None if column.dtype.kind == "f"
-                 else _RULES[column.dtype.kind][1](column[part])
-                 for column in data]
+        cells = [None if kind == "f" else getattr(_RULES[kind], cells_of)(
+            column[part]) for kind, column in zip(kinds, data)]
         if floats:
             values = np.concatenate([data[k][part] for k in floats])
-            stacked = _float_cells(values.astype(np.float64, copy=False))
+            stacked = getattr(_RULES["f"], cells_of)(
+                values.astype(np.float64, copy=False))
             blocks = stacked.reshape(len(floats), -1, stacked.shape[1])
             for k, block in zip(floats, blocks):
                 cells[k] = block
-        widths = [c.shape[1] + 1 for c in cells]
+        pieces = [first]
+        for c in cells:
+            pieces += [c, between]
+        pieces[-1] = last
+        widths = [p.shape[-1] for p in pieces]
         matrix = np.empty((len(cells[0]), sum(widths)), np.uint8)
         end = 0
-        for c, width in zip(cells, widths):
-            matrix[:, end:end + width - 1] = c
+        for piece, width in zip(pieces, widths):
+            matrix[:, end:end + width] = piece
             end += width
-            matrix[:, end - 1] = ord(",")
-        matrix[:, -1] = ord("\n")
         yield matrix.tobytes().translate(None, b"\0").decode("utf-8")
 
 
@@ -362,8 +576,9 @@ def _table_csv(table: Table, meta: dict):
     head += ",".join(table.columns) + "\n"
     n_rows = len(table.data[0]) if table.data else 0
     if n_rows >= _MATRIX_ROWS:
-        return chain([head], _matrix_csv(table.data, n_rows))
-    spec = ",".join(_RULES[c.dtype.kind][0] for c in table.data) + "\n"
+        return chain([head], _matrix_rows(table.data, n_rows, "csv_cells",
+                                          ("", ",", "\n")))
+    spec = ",".join(_RULES[c.dtype.kind].csv_row for c in table.data) + "\n"
     values = (map(_BOOL_TEXT.__getitem__, c.tolist()) if c.dtype.kind == "b"
               else c.tolist() for c in table.data)
     return [head, "".join(map(spec.__mod__, zip(*values)))]
@@ -408,7 +623,7 @@ def _json_column(column):
     values at a time as iterated. ``float.__repr__`` spells non-finite
     floats ``nan``/``inf`` where JSON has ``NaN``/``Infinity``, so a float
     column holding one is encoded by ``json.dumps``."""
-    text = _RULES[column.dtype.kind][2]
+    text = _RULES[column.dtype.kind].json_value
     if text is float.__repr__ and not np.isfinite(column).all():
         text = json.dumps
     return map(text, chain.from_iterable(
@@ -418,17 +633,30 @@ def _json_column(column):
 
 def _rows_json(table: Table):
     """The rows of ``table`` as ``json.dumps(indent=2)`` writes them in the
-    document, rendered column by column: chunks of text, one per row and
-    rendered as they are iterated, then the list's closing bracket."""
-    if not table.data or not len(table.data[0]):
-        return ["[]"]
+    document, in chunks of text rendered as they are iterated: byte
+    matrices for a table of ``_MATRIX_ROWS`` rows or more, else rows
+    joined column by column from each value's text."""
+    n_rows = len(table.data[0]) if table.data else 0
+    if not n_rows:
+        yield "[]"
+        return
     outer = "\n" + "  " * (_ROWS_DEPTH + 1)
     inner = "\n" + "  " * _VALUE_DEPTH
+    end = "\n" + "  " * _ROWS_DEPTH + "]"
+    if n_rows >= _MATRIX_ROWS:
+        # A row opens with the comma after the row before it; the first
+        # row opens the list instead.
+        chunks = _matrix_rows(table.data, n_rows, "json_cells", (
+            "," + outer + "[" + inner, "," + inner, outer + "]"))
+        yield "[" + next(chunks)[1:]
+        yield from chunks
+        yield end
+        return
     rows = map(("," + inner).join, zip(*map(_json_column, table.data)))
     openers = chain(["[" + outer + "[" + inner],
                     repeat(outer + "]," + outer + "[" + inner))
-    return chain(map(str.__add__, openers, rows),
-                 [outer + "]" + "\n" + "  " * _ROWS_DEPTH + "]"])
+    yield from _batched(chain(map(str.__add__, openers, rows),
+                              [outer + "]" + end]))
 
 
 def emit_json(bundle: ReportBundle, path) -> Path:
@@ -455,7 +683,7 @@ def emit_json(bundle: ReportBundle, path) -> Path:
         f.write(head)
         for k, (table_head, name) in enumerate(zip(table_heads, names)):
             f.write(("," if k else "") + table_head)
-            f.writelines(_batched(_rows_json(tables[name])))
+            f.writelines(_rows_json(tables[name]))
             f.write("\n    }")
         f.write("\n  }\n}\n" if names else "}\n}\n")
     return path

@@ -13,6 +13,7 @@ are the oxide thickness, the free-layer thickness and the TMR ratio
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -279,8 +280,22 @@ def current_histogram(result: MCResult, bins: int = 32) -> HistogramReport:
         pad = max(abs(lo) * 1e-9, 1e-30)
         lo, hi = lo - pad, lo + pad
     edges = np.linspace(lo, hi, bins + 1)
-    counts = {p.label: np.histogram(row, bins=edges)[0]
-              for p, row in zip(result.patterns, values)}
+    # Bin k holds edges[k] <= v < edges[k + 1], and the last bin the last
+    # edge too, as np.histogram counts. One searchsorted and one bincount
+    # bin a block of at most BLOCK values: the rows of as many patterns as
+    # fit, or a part of one pattern's row.
+    per_row = np.zeros((len(values), bins), np.int64)
+    rows = max(1, BLOCK // values.shape[1])
+    for start, part in itertools.product(range(0, len(values), rows),
+                                         range(0, values.shape[1], BLOCK)):
+        block = values[start:start + rows, part:part + BLOCK]
+        index = np.searchsorted(edges, block, "right")
+        index -= 1
+        np.minimum(index, bins - 1, out=index)
+        index += np.arange(len(block))[:, None] * bins
+        per_row[start:start + rows] += np.bincount(
+            index.ravel(), minlength=len(block) * bins).reshape(-1, bins)
+    counts = {p.label: row for p, row in zip(result.patterns, per_row)}
     # Pattern 0 is all zeros; pattern 2^j has input j alone set.
     singles = values[[2 ** j for j in range(result.op.n_inputs)]]
     overlap = float(np.mean(values[0] > singles.min()))

@@ -15,7 +15,7 @@ from sotlogic import (ArraySpec, DeviceParams, GateKind, HistogramTable,
                       config_digest, emit_csv, emit_json, make_bundle,
                       mc_tables, run_mc)
 from sotlogic import report
-from sotlogic.report import _float_cells, _table_csv
+from sotlogic.report import _float_cells, _repr_cells, _table_csv
 
 
 def sample_bundle():
@@ -128,6 +128,18 @@ def test_unrenderable_column_leaves_csv_as_it_was(tmp_path):
     assert sentinel.read_bytes() == b"kept\n"
 
 
+def test_lone_surrogate_leaves_csv_as_it_was(tmp_path):
+    # UTF-8 has no surrogate code point, so CSV could not write the cell;
+    # the table is rejected as it is built, before the file is opened.
+    sentinel = tmp_path / "x_t.csv"
+    sentinel.write_bytes(b"kept\n")
+    with pytest.raises(ValueError, match="table 't'"):
+        emit_csv(make_bundle({}, tables=[Table("t", ("a",),
+                                               (["ok", "\ud800"],))]),
+                 tmp_path, "x")
+    assert sentinel.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("column, error", [
     pytest.param([True, 1], TypeError, id="bool-beside-int"),
     pytest.param([1.5, 2], TypeError, id="int-beside-float"),
@@ -147,6 +159,10 @@ def test_unrenderable_column_leaves_csv_as_it_was(tmp_path):
     pytest.param(["a\x00"], ValueError, id="trailing-NUL"),
     pytest.param(["\x00"], ValueError, id="NUL"),
     pytest.param(np.array(["a\x00b"]), ValueError, id="NUL-in-array"),
+    pytest.param(["\udfff"], ValueError, id="surrogate"),
+    pytest.param(["a\ud83d\ude00"], ValueError, id="surrogate-pair"),
+    pytest.param(np.array(["ok", "a\ud800"]), ValueError,
+                 id="surrogate-in-array"),
 ])
 def test_column_without_a_rule_rejected(column, error):
     with pytest.raises(error, match="table 't'"):
@@ -274,8 +290,10 @@ def test_json_matches_row_wise_oracle(tmp_path_factory, tabs):
     bundle = make_bundle({"seed": 1, "label": "\x00rows 0.0"}, tables=tabs,
                          histograms=[hist])
     path = tmp_path_factory.mktemp("json") / "r.json"
-    assert emit_json(bundle, path).read_text() == \
-        report_oracle.json_text(bundle)
+    expected = report_oracle.json_text(bundle)
+    for matrix_rows in (1, 10**9):  # byte matrices, then rows
+        with mock.patch.object(report, "_MATRIX_ROWS", matrix_rows):
+            assert emit_json(bundle, path).read_text() == expected
 
 
 def test_non_finite_floats_spelled_as_json_does(tmp_path):
@@ -313,8 +331,8 @@ def test_mc_reports_equal_row_wise_oracle(tmp_path, monkeypatch, topology,
         for hist in bundle.histograms:
             assert (tmp_path / f"mc_{hist.name}.csv").read_text() == \
                 report_oracle.histogram_csv(hist, bundle.meta)
-    assert emit_json(bundle, tmp_path / "mc.json").read_text() == \
-        report_oracle.json_text(bundle)
+        assert emit_json(bundle, tmp_path / "mc.json").read_text() == \
+            report_oracle.json_text(bundle)
 
 
 # --- the %.9g kernel against % ------------------------------------------------
@@ -361,3 +379,83 @@ def test_array_columns_write_their_tolist_rows(tmp_path):
     (path,) = emit_csv(bundle, tmp_path, "r")
     assert path.read_text() == report_oracle.table_csv(
         table.columns, report_oracle.rows_of(table), bundle.meta)
+
+
+def test_array_columns_write_their_json_rows(tmp_path):
+    # The JSON twin: past one chunk of rows, with non-finite, signed-zero,
+    # subnormal and huge floats among the values.
+    n = 9000
+    rng = np.random.default_rng(2)
+    x = rng.normal(5e-5, 1e-5, n)
+    x[::89] = np.resize([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                         -1.5e-310, 1e300, -1e300 / 3], n // 89 + 1)
+    data = (np.repeat(np.array(["00", "01", 'a"b']), n // 3),
+            np.tile(np.arange(n // 3), 3) - 5, x, rng.uniform(size=n) < 0.5,
+            rng.uniform(0.9, 1.1, n), np.full(n, 7, np.uint8))
+    table = Table("trials", ("p", "k", "x", "ok", "v", "u"), data)
+    bundle = make_bundle({"seed": 1}, tables=[table])
+    text = emit_json(bundle, tmp_path / "r.json").read_text()
+    assert text == report_oracle.json_text(bundle)
+    rows = json.loads(text)["tables"]["trials"]["rows"]
+    assert [repr(row[2]) for row in rows] == [repr(v) for v in x.tolist()]
+    assert rows == json.loads(json.dumps(report_oracle.rows_of(table)))
+
+
+# --- the repr kernel against float.__repr__ ------------------------------------
+
+def _writes_repr(values):
+    """Whether ``_repr_cells`` writes each value as ``json.dumps`` does:
+    ``float.__repr__`` of a finite value, ``NaN``/``Infinity`` else."""
+    x = np.array(values, dtype=np.float64)
+    x = np.concatenate([x, -x])
+    cells = _repr_cells(x)
+    return [bytes(row[row != 0]).decode() for row in cells] == \
+        [json.dumps(v) for v in x.tolist()]
+
+
+# Values whose shortest text has 15, 16 and 17 digits, the 1e16 and 1e-4
+# layout boundaries, and ties: R16 halfway between two 16-digit decimals
+# that both read back, R17 halfway between two 17-digit ones.
+REPR_CASES = (0.1, 1 / 3, 2 / 3, 123456789012345.0, 1234567890123456.0,
+              12345678901234567.0, 0.30000000000000004, 9007199254740993.0,
+              1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,
+              0.00011, 1e22, 1e23, 5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, 600000000000000.25, 1 + 2**-17,
+              1e-290, 1e290)
+# A 15-, 16- or 17-digit decimal, read as a double.
+decimals = st.builds(lambda digits, m, k: float(f"{m % 10**digits}e{k}"),
+                     st.sampled_from((15, 16, 17)), st.integers(0, 10**17),
+                     st.integers(-330, 310))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS + REPR_CASES),
+                                 st.floats(), decimals, ties), max_size=40))
+def test_repr_cells_write_repr(values):
+    assert _writes_repr(values)
+
+
+def test_repr_cells_write_repr_beside_every_power_of_ten_and_two():
+    powers = np.concatenate([[float(f"1e{k}") for k in range(-323, 309)],
+                             np.ldexp(1.0, np.arange(-1074, 1024))])
+    assert _writes_repr(np.concatenate([powers, np.nextafter(powers, 0),
+                                        np.nextafter(powers, np.inf)]))
+
+
+def _fallbacks(values):
+    """How many values ``_repr_cells`` hands to ``float.__repr__``."""
+    with mock.patch.object(report, "_fallback_cells",
+                           wraps=report._fallback_cells) as spy:
+        _repr_cells(np.asarray(values, dtype=np.float64))
+    return len(spy.call_args.args[1])
+
+
+def test_repr_cells_rarely_fall_back():
+    x = np.random.default_rng(3).normal(5e-5, 1e-5, 200_000)
+    assert _writes_repr(x[:20_000])
+    assert _fallbacks(x) < 2  # fewer than 1 in 10**5
+    bundle = _mc_bundle(Topology.VGSOT, GateKind.AND)
+    trials = next(t for t in bundle.tables if t.name == "trials")
+    floats = [c for c in trials.data if c.dtype.kind == "f"]
+    assert (np.concatenate(floats) == 0).any()  # the clamped thresholds
+    assert _fallbacks(np.concatenate(floats)) == 0

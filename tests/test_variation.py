@@ -1,9 +1,13 @@
 """Sampling determinism, Monte-Carlo campaigns, and histogram statistics."""
 
+import dataclasses
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from sotlogic import (ArraySpec, DeviceParams, GateKind, Topology,
@@ -425,6 +429,50 @@ def test_overlap_cross_checks_failures_both_ways():
     zero = noisy.pattern((0, 0))
     assert zero.successes < zero.trials
     assert current_histogram(noisy).overlap_fraction > 0.0
+
+
+@functools.cache
+def small_campaign():
+    spec, op = nor_setup()
+    return run_mc(spec, op, 3, VariationSpec(seed=2))
+
+
+# Values on the edges of the bins that split [-1, 4] or [0, 4] evenly.
+on_edges = st.sampled_from((-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bins=st.sampled_from((1, 2, 3, 4, 5, 8, 32)),
+       trials=st.integers(1, 12), equal=st.booleans(), data=st.data())
+def test_histogram_counts_match_numpy_row_by_row(bins, trials, equal, data):
+    campaign = small_campaign()
+    values = np.array(data.draw(st.lists(
+        st.one_of(on_edges, st.floats(-1e3, 1e3)), min_size=4 * trials,
+        max_size=4 * trials))).reshape(4, trials)
+    if equal:  # no spread: one bin padded around the value
+        values[:] = values[0, 0]
+    result = dataclasses.replace(
+        campaign, observables={campaign.primary_observable: values})
+    hist = current_histogram(result, bins=bins)
+    for p, row in zip(result.patterns, values):
+        expected = np.histogram(row, bins=hist.bin_edges)[0]
+        assert np.array_equal(hist.counts[p.label], expected)
+    if equal:
+        assert [c.max() for c in hist.counts.values()] == [trials] * 4
+
+
+def test_histogram_counts_match_numpy_past_one_block():
+    # Rows of more than BLOCK trials are binned a part at a time.
+    campaign = small_campaign()
+    values = np.random.default_rng(4).normal(size=(4, BLOCK + 1))
+    values[:, ::7] = np.linspace(values.min(), values.max(), 33)[
+        np.arange(4 * ((BLOCK + 7) // 7)).reshape(4, -1) % 33]
+    result = dataclasses.replace(
+        campaign, observables={campaign.primary_observable: values})
+    hist = current_histogram(result, bins=32)
+    for p, row in zip(result.patterns, values):
+        assert np.array_equal(hist.counts[p.label],
+                              np.histogram(row, bins=hist.bin_edges)[0])
 
 
 def test_histogram_requires_data():
