@@ -5,12 +5,14 @@ metadata, fixed column order, dot decimal separator, LF line endings, and
 floats rendered with 9 significant digits in CSV (full precision in JSON so
 round-trips are lossless). A table holds each column as a 1-D numpy array
 of one of five dtype kinds (float, int, unsigned int, bool, str), and each
-kind has one rule per format (``_RULES``): a ``%`` spec and a byte-matrix
-kernel for CSV, a per-value text and a byte-matrix kernel for JSON. A
-table of at least ``_MATRIX_ROWS`` rows is written as byte matrices in
-either format, a smaller one row by row. The float kernels format a whole
-array with numpy: ``_float_cells`` writes ``%.9g``, ``_repr_cells`` writes
-``float.__repr__``, the shortest text that reads back as the value.
+kind has one rule per format (``_RULES``): a ``%`` spec, an optional map
+of a value to the text the spec takes, and a byte-matrix kernel, which
+write the same text. One renderer (``_rows``) writes the rows of every
+table in either format: byte matrices for a table of at least
+``_MATRIX_ROWS`` rows, else one ``%`` template applied to each row. The
+float kernels format a whole array with numpy: ``_float_cells`` writes
+``%.9g``, ``_repr_cells`` writes ``float.__repr__``, the shortest text
+that reads back as the value.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import functools
 import hashlib
 import json
 import math
-import re
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -55,7 +56,6 @@ class Table:
 
 # The exact type of a sequence column's values -> the dtype that holds them.
 _DTYPES = {float: np.float64, int: np.int64, bool: np.bool_, str: np.str_}
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _column(name: str, column) -> np.ndarray:
@@ -64,8 +64,9 @@ def _column(name: str, column) -> np.ndarray:
     checked before ``np.array``, which would coerce them silently:
     ``[1.5, 2]`` to floats (JSON would write ``2.0``), ``[True, 1]`` to
     ints, ``['a', 1]`` to text. Text holds no NUL (cells are NUL-padded,
-    and numpy drops a string's trailing NULs) and no surrogate code point
-    (UTF-8 has none)."""
+    and numpy drops a string's trailing NULs, so a sequence's text is
+    checked before ``np.array``) and no surrogate code point (UTF-8 has
+    none)."""
     if isinstance(column, (list, tuple)):
         types = set(map(type, column))
         if len(types) > 1 or not types <= _DTYPES.keys():
@@ -73,18 +74,14 @@ def _column(name: str, column) -> np.ndarray:
                             f"{sorted(t.__name__ for t in types)}, not one "
                             "of float, int, bool or str")
         dtype = _DTYPES[types.pop()] if types else np.float64
-        if dtype is np.str_:
-            text = "".join(column)
-            if "\0" in text:
-                raise ValueError(f"table {name!r}: text holds NUL")
-            if _SURROGATE.search(text):
-                raise ValueError(f"table {name!r}: text holds a surrogate")
+        if dtype is np.str_ and "\0" in "".join(column):
+            raise ValueError(f"table {name!r}: text holds NUL")
         try:
-            return np.array(column, dtype)
+            column = np.array(column, dtype)
         except OverflowError:
             raise ValueError(f"table {name!r}: an int lies outside int64") \
                 from None
-    if not isinstance(column, np.ndarray):
+    elif not isinstance(column, np.ndarray):
         raise TypeError(f"table {name!r}: a column is a list, tuple or "
                         f"array, not {type(column).__name__}")
     kind = column.dtype.kind
@@ -93,10 +90,11 @@ def _column(name: str, column) -> np.ndarray:
     if kind not in "fiubU" or kind == "f" and column.itemsize > 8:
         raise TypeError(f"table {name!r}: no rule renders dtype {column.dtype}")
     if kind == "U":
-        codes = _text_codes(column)  # NUL-padded: a NUL before a code is text
-        if ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any():
+        codes = _text_codes(column)
+        nul = codes == 0  # NUL-padded: a NUL before a non-NUL is text
+        if np.count_nonzero(nul[:, :-1] > nul[:, 1:]):
             raise ValueError(f"table {name!r}: text holds NUL")
-        if ((codes >= 0xD800) & (codes < 0xE000)).any():
+        if np.count_nonzero(codes >> 11 == 0xD800 >> 11):  # U+D800-U+DFFF
             raise ValueError(f"table {name!r}: text holds a surrogate")
     return column
 
@@ -106,8 +104,18 @@ class HistogramTable:
     """Per-bin counts of one observable, one count column per series."""
 
     name: str
-    bin_edges: tuple
-    series: tuple  # of (label, tuple-of-counts)
+    bin_edges: tuple  # of floats
+    series: tuple  # of (label, tuple of len(bin_edges) - 1 ints)
+
+    def __post_init__(self):
+        counts = [c for _, series in self.series for c in series]
+        if not (set(map(type, self.bin_edges)) <= {float} and
+                set(map(type, counts)) <= {int}):
+            raise TypeError(f"histogram {self.name!r}: edges must be floats "
+                            "and counts ints")
+        if any(len(c) != len(self.bin_edges) - 1 for _, c in self.series):
+            raise ValueError(f"histogram {self.name!r}: a series does not "
+                             "hold one count per bin")
 
 
 @dataclass(frozen=True)
@@ -125,10 +133,16 @@ def config_digest(config) -> str:
 
 
 def make_bundle(meta: dict, tables=(), histograms=()) -> ReportBundle:
+    """A bundle of the tables and histograms, which name their files and
+    JSON keys: a name given twice raises ValueError."""
+    tables, histograms = tuple(tables), tuple(histograms)
+    names = [item.name for item in (*tables, *histograms)]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"report bundle: {name!r} is named twice")
     full_meta = {"tool": "sotlogic", "version": __version__}
     full_meta.update(meta)
-    return ReportBundle(meta=full_meta, tables=tuple(tables),
-                        histograms=tuple(histograms))
+    return ReportBundle(meta=full_meta, tables=tables, histograms=histograms)
 
 
 def _meta_lines(meta: dict):
@@ -140,7 +154,7 @@ def _meta_lines(meta: dict):
 # A cell is a row of a uint8 matrix holding its UTF-8 text, padded anywhere
 # with NUL bytes, which are dropped when a table's rows are joined.
 
-_CHUNK_ROWS = 4096  # rows of a column converted or written at a time
+_CHUNK_ROWS = 4096  # rows of a table written as one byte matrix
 
 
 def _words(texts):
@@ -494,55 +508,73 @@ _BOOL_TEXT = {True: "true", False: "false"}
 
 
 class _Rule(NamedTuple):
-    csv_row: str  # the ``%`` spec of a CSV cell in a row
-    csv_cells: Callable  # a slice of a column -> its CSV byte-matrix cells
-    json_value: Callable  # a value -> its JSON text
-    json_cells: Callable  # a slice of a column -> its JSON byte-matrix cells
+    spec: str  # the ``%`` spec of a cell in a row template
+    text: Callable | None  # a value -> the text ``spec`` takes, if not itself
+    cells: Callable  # a slice of a column -> its byte-matrix cells
 
 
-# The rules of each dtype kind of a column. A bool's CSV spec takes its
-# JSON text; ``%.9g``, ``%d`` and the JSON texts write what the kernels
-# write. An int's and a bool's JSON text is its CSV text.
+# The rule of each format and dtype kind of a column: the spec, fed the
+# value or its text, writes what the kernel writes. ``%r`` is
+# ``float.__repr__``; an int's and a bool's JSON text is its CSV text.
+_INT = _Rule("%d", None, _int_cells)
+_BOOL = _Rule("%s", _BOOL_TEXT.__getitem__, _bool_cells)
 _RULES = {
-    "f": _Rule(f"%.{SIGNIFICANT_DIGITS}g", _float_cells, float.__repr__,
-               _repr_cells),
-    "i": _Rule("%d", _int_cells, int.__repr__, _int_cells),
-    "u": _Rule("%d", _int_cells, int.__repr__, _int_cells),
-    "b": _Rule("%s", _bool_cells, _BOOL_TEXT.__getitem__, _bool_cells),
-    "U": _Rule("%s", _text_cells, encode_basestring_ascii, _json_text_cells),
+    "csv": {"f": _Rule(f"%.{SIGNIFICANT_DIGITS}g", None, _float_cells),
+            "i": _INT, "u": _INT, "b": _BOOL,
+            "U": _Rule("%s", None, _text_cells)},
+    "json": {"f": _Rule("%r", None, _repr_cells), "i": _INT, "u": _INT,
+             "b": _BOOL, "U": _Rule("%s", encode_basestring_ascii,
+                                    _json_text_cells)},
 }
 
 # Tables of at least this many rows are written as byte matrices, smaller
-# ones row by row, in CSV and JSON alike. A CSV matrix costs a fixed
-# ~0.1 ms of numpy calls and ~40 us more per int column; a row costs
-# ~0.3 us per cell more than a matrix row. The CSV paths break even at ~30
-# rows on a sweep table (floats and bools), ~64 on a margin table and ~250
-# on int-heavy truth tables and histograms. A JSON matrix costs a fixed
-# ~0.3 ms (most of it the repr kernel's), and the JSON paths break even
-# at ~45, ~64 and ~125 rows on the same tables. At 64, tables of up to 5
-# inputs and 32-bin histograms take rows, and sweeps and MC trials take
-# matrices.
+# ones by one ``%`` template per row, in CSV and JSON alike. Measured in
+# process (2-CPU Xeon host), a matrix costs a fixed ~0.13 ms in CSV and
+# ~0.22 ms in JSON (most of it the repr kernel's), and ~40 us more per int
+# column; a template row costs ~0.2 us (CSV) to ~0.5 us (JSON) per float
+# cell more than a matrix row. The CSV paths break even at ~45 rows on a
+# sweep table (floats and bools), ~110 on a margin table and past 256 on
+# int-heavy truth tables; the JSON paths at ~32, ~90 and ~250. At 64,
+# tables of up to 5 inputs and 32-bin histograms take templates, sweeps and
+# MC trials take matrices.
 _MATRIX_ROWS = 64
 
 
-def _matrix_rows(data, n_rows: int, cells_of: str, seps):
-    """The rows of a table as text chunks of ``_CHUNK_ROWS`` rows, each
-    column's cells rendered by its rule's kernel ``cells_of``. Per chunk,
-    the float columns' cells come from one kernel call, and every column's
-    cells go into one byte matrix between constant separator columns --
-    ``seps[0]`` before a row's first cell, ``seps[1]`` between cells and
-    ``seps[2]`` after the last -- whose NULs are then dropped."""
-    kinds = [column.dtype.kind for column in data]
-    floats = [k for k, kind in enumerate(kinds) if kind == "f"]
+def _rows(data, fmt: str, seps):
+    """The rows of a table with columns ``data`` in format ``fmt``, as text
+    chunks rendered as they are iterated: ``seps[0]`` before a row's first
+    cell, ``seps[1]`` between cells and ``seps[2]`` after the last.
+
+    Below ``_MATRIX_ROWS`` rows, one ``%`` template of the columns' specs
+    between the separators (which hold no ``%``) renders each row. From
+    ``_MATRIX_ROWS`` rows on, chunks of ``_CHUNK_ROWS`` rows are rendered by
+    the kernels: per chunk, the float columns' cells come from one kernel
+    call, and every column's cells go into one byte matrix between constant
+    separator columns, whose NULs are then dropped."""
+    by_kind = _RULES[fmt]
+    rules = [by_kind[column.dtype.kind] for column in data]
+    n_rows = len(data[0]) if data else 0
+    if n_rows < _MATRIX_ROWS:
+        # repr spells non-finite floats nan and inf, JSON NaN and Infinity.
+        if fmt == "json":
+            rules = [_Rule("%s", json.dumps, None) if rule.spec == "%r" and
+                     not np.isfinite(column).all() else rule
+                     for rule, column in zip(rules, data)]
+        template = seps[0] + seps[1].join([r.spec for r in rules]) + seps[2]
+        values = [column.tolist() if rule.text is None
+                  else map(rule.text, column.tolist())
+                  for rule, column in zip(rules, data)]
+        yield "".join(map(template.__mod__, zip(*values)))
+        return
+    floats = [k for k, column in enumerate(data) if column.dtype.kind == "f"]
     first, between, last = (np.frombuffer(s.encode(), np.uint8) for s in seps)
     for start in range(0, n_rows, _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
-        cells = [None if kind == "f" else getattr(_RULES[kind], cells_of)(
-            column[part]) for kind, column in zip(kinds, data)]
+        cells = [None if column.dtype.kind == "f" else
+                 rule.cells(column[part]) for rule, column in zip(rules, data)]
         if floats:
             values = np.concatenate([data[k][part] for k in floats])
-            stacked = getattr(_RULES["f"], cells_of)(
-                values.astype(np.float64, copy=False))
+            stacked = by_kind["f"].cells(values.astype(np.float64, copy=False))
             blocks = stacked.reshape(len(floats), -1, stacked.shape[1])
             for k, block in zip(floats, blocks):
                 cells[k] = block
@@ -559,29 +591,11 @@ def _matrix_rows(data, n_rows: int, cells_of: str, seps):
         yield matrix.tobytes().translate(None, b"\0").decode("utf-8")
 
 
-def _batched(texts, size: int = 1024):
-    """The non-empty strings ``texts`` joined ``size`` at a time: a write per
-    string costs more than joining them, and one joined string would hold
-    the whole text."""
-    texts = iter(texts)
-    while chunk := "".join(islice(texts, size)):
-        yield chunk
-
-
 def _table_csv(table: Table, meta: dict):
     """The text of ``table``'s CSV file, in pieces rendered as they are
-    iterated: byte matrices for a table of ``_MATRIX_ROWS`` rows or more,
-    else rows formatted by ``%``."""
-    head = "".join(line + "\n" for line in _meta_lines(meta))
-    head += ",".join(table.columns) + "\n"
-    n_rows = len(table.data[0]) if table.data else 0
-    if n_rows >= _MATRIX_ROWS:
-        return chain([head], _matrix_rows(table.data, n_rows, "csv_cells",
-                                          ("", ",", "\n")))
-    spec = ",".join(_RULES[c.dtype.kind].csv_row for c in table.data) + "\n"
-    values = (map(_BOOL_TEXT.__getitem__, c.tolist()) if c.dtype.kind == "b"
-              else c.tolist() for c in table.data)
-    return [head, "".join(map(spec.__mod__, zip(*values)))]
+    iterated."""
+    head = "\n".join([*_meta_lines(meta), ",".join(table.columns), ""])
+    return chain([head], _rows(table.data, "csv", ("", ",", "\n")))
 
 
 def emit_csv(bundle: ReportBundle, out_dir, prefix: str):
@@ -618,45 +632,21 @@ _ROWS_DEPTH = 3
 _VALUE_DEPTH = _ROWS_DEPTH + 2
 
 
-def _json_column(column):
-    """The JSON text of each value of a column, converted ``_CHUNK_ROWS``
-    values at a time as iterated. ``float.__repr__`` spells non-finite
-    floats ``nan``/``inf`` where JSON has ``NaN``/``Infinity``, so a float
-    column holding one is encoded by ``json.dumps``."""
-    text = _RULES[column.dtype.kind].json_value
-    if text is float.__repr__ and not np.isfinite(column).all():
-        text = json.dumps
-    return map(text, chain.from_iterable(
-        column[k:k + _CHUNK_ROWS].tolist()
-        for k in range(0, len(column), _CHUNK_ROWS)))
-
-
 def _rows_json(table: Table):
     """The rows of ``table`` as ``json.dumps(indent=2)`` writes them in the
-    document, in chunks of text rendered as they are iterated: byte
-    matrices for a table of ``_MATRIX_ROWS`` rows or more, else rows
-    joined column by column from each value's text."""
-    n_rows = len(table.data[0]) if table.data else 0
-    if not n_rows:
+    document, in chunks of text rendered as they are iterated."""
+    if not (table.data and len(table.data[0])):
         yield "[]"
         return
     outer = "\n" + "  " * (_ROWS_DEPTH + 1)
     inner = "\n" + "  " * _VALUE_DEPTH
-    end = "\n" + "  " * _ROWS_DEPTH + "]"
-    if n_rows >= _MATRIX_ROWS:
-        # A row opens with the comma after the row before it; the first
-        # row opens the list instead.
-        chunks = _matrix_rows(table.data, n_rows, "json_cells", (
-            "," + outer + "[" + inner, "," + inner, outer + "]"))
-        yield "[" + next(chunks)[1:]
-        yield from chunks
-        yield end
-        return
-    rows = map(("," + inner).join, zip(*map(_json_column, table.data)))
-    openers = chain(["[" + outer + "[" + inner],
-                    repeat(outer + "]," + outer + "[" + inner))
-    yield from _batched(chain(map(str.__add__, openers, rows),
-                              [outer + "]" + end]))
+    # A row opens with the comma after the row before it; the first row
+    # opens the list instead.
+    chunks = _rows(table.data, "json", ("," + outer + "[" + inner,
+                                        "," + inner, outer + "]"))
+    yield "[" + next(chunks)[1:]
+    yield from chunks
+    yield "\n" + "  " * _ROWS_DEPTH + "]"
 
 
 def emit_json(bundle: ReportBundle, path) -> Path:

@@ -169,6 +169,31 @@ def test_column_without_a_rule_rejected(column, error):
         Table("t", ("a",), (column,))
 
 
+@pytest.mark.parametrize("tables, histograms", [
+    pytest.param(("t", "t"), (), id="two-tables"),
+    pytest.param(("t",), ("t",), id="table-and-histogram"),
+    pytest.param((), ("h", "h"), id="two-histograms"),
+])
+def test_bundle_names_each_report_once(tables, histograms):
+    # A repeated name would write one file or JSON key over the other.
+    repeated = (*tables, *histograms)[-1]
+    with pytest.raises(ValueError, match=f"'{repeated}' is named twice"):
+        make_bundle({}, tables=[Table(n, ("a",), ([1],)) for n in tables],
+                    histograms=[HistogramTable(n, (0.0, 1.0), (("x", (1,)),))
+                                for n in histograms])
+
+
+@pytest.mark.parametrize("edges, counts, error", [
+    pytest.param((0.0, 1.0), (1, 2), ValueError, id="two-counts-one-bin"),
+    pytest.param((0.0, 1.0, 2.0), (1,), ValueError, id="one-count-two-bins"),
+    pytest.param((0.0, 1.0), (True,), TypeError, id="bool-count"),
+    pytest.param(("0", "1"), (1,), TypeError, id="text-edges"),
+])
+def test_histogram_of_bad_edges_or_counts_rejected(edges, counts, error):
+    with pytest.raises(error, match="histogram 'h'"):
+        HistogramTable("h", edges, (("x", counts),))
+
+
 def test_config_digest_stability():
     cfg = {"b": 2, "a": {"y": 1.5, "x": [1, 2]}}
     reordered = {"a": {"x": [1, 2], "y": 1.5}, "b": 2}
@@ -282,7 +307,7 @@ def test_histogram_csv_matches_row_wise_oracle(tmp_path_factory, hist):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tabs=st.lists(tables(), max_size=3))
+@given(tabs=st.lists(tables(), max_size=3, unique_by=lambda t: t.name))
 def test_json_matches_row_wise_oracle(tmp_path_factory, tabs):
     hist = HistogramTable("h", (0.0, 0.5, 1.0), (("00", (3, 7)),))
     # A meta string spelled like a rows placeholder: a regression input
