@@ -10,9 +10,9 @@ of a value to the text the spec takes, and a byte-matrix kernel, which
 write the same text. One renderer (``_rows``) writes the rows of every
 table in either format: byte matrices for a table of at least
 ``_MATRIX_ROWS`` rows, else one ``%`` template applied to each row. The
-float kernels format a whole array with numpy: ``_float_cells`` writes
-``%.9g``, ``_repr_cells`` writes ``float.__repr__``, the shortest text
-that reads back as the value.
+float kernels, ``_float_cells`` (``%.9g``) and ``_repr_cells`` (repr, the
+shortest text that reads back), make digits with numpy, and one writer
+lays out both kernels' cells by one layout builder (``_layout``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -101,7 +100,8 @@ def _column(name: str, column) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HistogramTable:
-    """Per-bin counts of one observable, one count column per series."""
+    """Per-bin counts of one observable, one count column per series, each
+    series under its own label."""
 
     name: str
     bin_edges: tuple  # of floats
@@ -116,6 +116,11 @@ class HistogramTable:
         if any(len(c) != len(self.bin_edges) - 1 for _, c in self.series):
             raise ValueError(f"histogram {self.name!r}: a series does not "
                              "hold one count per bin")
+        labels = [label for label, _ in self.series]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(f"histogram {self.name!r}: label {label!r} "
+                                 "names two series")
 
 
 @dataclass(frozen=True)
@@ -171,68 +176,79 @@ _SPREAD[:, ::2] = np.stack([_K4 // 1000, _K4 // 100 % 10, _K4 // 10 % 10,
                             _K4 % 10], 1) + ord("0")
 _DIGITS4 = _SPREAD[:, ::2].copy().view(np.uint32)[:, 0]
 _DIGITS4_SPREAD = _SPREAD.view("<u8")[:, 0]
-# _ZEROS4[k] counts the trailing zero digits of k (4 for 0). Significant
-# digits of a 9-digit mantissa ending in k: _SHOWN_LOW[k] for its last 4
-# digits (0 where k is 0), _SHOWN_HIGH[k] for its 4 before them where the
-# last 4 are 0; a mantissa has the larger of the two.
+# _ZEROS4[k] counts the trailing zero digits of k (4 for 0).
 _ZEROS4 = sum((_K4 % 10 ** k == 0).astype(np.uint8) for k in range(1, 5))
-_SHOWN_LOW = np.where(_K4 > 0, 9 - _ZEROS4, 0).astype(np.uint8)
-_SHOWN_HIGH = (5 - _ZEROS4).astype(np.uint8)
 _POW10_INT = 10 ** np.arange(16, dtype=np.int64)
 _BOOL_WORDS = _words((b"false", b"true"))
 _LEAD_WORDS = _words(bytes([0] * 6 + [d]) for d in b"0123456789")
 
-# Per decimal exponent e of a %.9g value, at [_E0 + e]: the correctly
-# rounded 10**e; the number of mantissa digits before the decimal point
-# (at least 1; 0 where fixed-point text starts "0."); the "0.000" that
-# precedes the digits of fixed-point text with e < 0; and the "e+XX" of
-# exponent layout, empty for fixed-point text (-4 <= e < 9).
+# Per decimal exponent e, at [_E0 + e]: the correctly rounded 10**e, and
+# the "0.000" that precedes the digits of positional text with e < 0.
 _E0 = 300
 _EXPONENTS = range(-_E0, 310)
 _POW10 = np.array([float(f"1e{e}") for e in _EXPONENTS])
-_POINT_AFTER = np.array([e + 1 if 0 <= e < 9 else 0 if -4 <= e < 0 else 1
-                         for e in _EXPONENTS])
 _PREFIXES = [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b""
              for e in _EXPONENTS]
 _PREFIX_WORDS = np.concatenate([_words(_PREFIXES),
                                 _words(b"-" + p for p in _PREFIXES)])
-_SUFFIX_WORDS = _words(b"" if -4 <= e < 9 else b"e%+03d" % e
-                       for e in _EXPONENTS)
 
 
-def _mantissa_masks(n: int):
-    """Decimal points and digit masks of the words of an n-digit mantissa
-    (n = 4k + 1), as tables keyed by ``point_after * (n + 1) + shown``: the
-    point words of every word, and the keep words of all but the first
-    (whose lead digit is always kept). Across the words, digit j sits at
-    byte 6 + 2j and is kept if j < shown; the point slot after it is byte
-    7 + 2j, holding "." if j = point_after - 1 and a digit follows."""
-    after, shown = np.divmod(np.arange((n + 1) ** 2), n + 1)
+@functools.cache
+def _layout(n: int, end: int, point_zero: bool):
+    """The tables that lay out an n-digit mantissa (n = 4k + 1) at decimal
+    exponent e as text: positional for -4 <= e < ``end``, else a digit, the
+    point, the rest and "e+XX"; ``point_zero`` keeps a digit after the point
+    of positional text with e >= 0 (repr's "1.0" against %.9g's "1").
+
+    ``shown[k][g]``: the digits up to the last significant one in 4-digit
+    group k holding g, 0 for g = 0. ``keys[_E0 + e, shown]``: the mask key
+    ``point_after * (n + 1) + max(shown, least)``, with ``point_after``
+    digits before the point (0 where positional text starts "0.") and at
+    least ``least`` shown. Per mask key, ``points`` holds the point word of
+    each word of a cell and ``keeps`` the keep word of each group's word
+    (the lead digit is always kept): digit j sits at byte 6 + 2j and is
+    kept if j < shown; the point slot after it, byte 7 + 2j, holds "." if
+    j = point_after - 1 and a digit follows. ``suffixes[_E0 + e]``: the
+    "e+XX" word, empty for positional text."""
+    e = np.array(_EXPONENTS)
+    positional = (-4 <= e) & (e < end)
+    after = np.where(positional, np.maximum(e + 1, 0), 1)
+    least = np.where(positional & (e >= 0), after + point_zero, 1)
+    shown = np.where(_K4 > 0, np.arange(5, n + 1, 4)[:, None] - _ZEROS4, 0)
+    keys = after[:, None] * (n + 1) + np.maximum(np.arange(n + 1),
+                                                 least[:, None])
+    # Per mask key: the digits before the point and the digits shown.
+    after, most = np.divmod(np.arange((n + 1) ** 2)[:, None], n + 1)
     j = np.arange(n)
-    keep = np.zeros(((n + 1) ** 2, 2 * n + 6), np.uint8)
+    keep = np.zeros((len(most), 2 * n + 6), np.uint8)
     point = np.zeros_like(keep)
-    keep[:, 6::2] = 255 * (j < shown[:, None])
-    point[:, 7::2] = ord(".") * ((j == after[:, None] - 1) &
-                                 (after[:, None] < shown[:, None]))
+    keep[:, 6::2] = 255 * (j < most)
+    point[:, 7::2] = ord(".") * ((j == after - 1) & (after < most))
     point, keep = point.view("<u8").T.copy(), keep.view("<u8").T.copy()
-    return tuple(point), tuple(keep[1:])
+    return (shown.astype(np.uint8), keys, tuple(point), tuple(keep[1:]),
+            _words(b"" if p else b"e%+03d" % k
+                   for k, p in zip(_EXPONENTS, positional)))
 
 
-_MASKS9 = _mantissa_masks(9)
-
-
-def _mantissa_cells(x, e, lead, groups, key, masks, suffixes):
-    """Cells of the mantissas of ``x`` at decimal exponents ``e``: the lead
-    digits, the 4-digit groups after them, decimal points and kept digits
-    by ``masks[key]`` and the exponent suffix ``suffixes[_E0 + e]``.
+def _mantissa_cells(x, e, lead, groups, layout, fallback, text):
+    """Cells of the mantissas of ``x`` at decimal exponents ``e`` as
+    ``layout`` (``_layout``) lays them out, from the lead digits and the
+    4-digit groups after them. The values where ``fallback`` holds are
+    written one at a time, as ``text(v)``.
 
     A cell is words: sign, "0.000" prefix, lead digit and point; 4 digits
     and points per group; the suffix. Digits past the last shown one are
     NUL, and so are the prefix and suffix bytes a cell has no use for.
     """
-    points, keeps = masks
-    prefix = _PREFIX_WORDS[np.signbit(x) * len(_EXPONENTS) + _E0 + e]
-    suffix = suffixes[_E0 + e]
+    shown_by_group, keys, points, keeps, suffixes = layout
+    shown = shown_by_group[0][groups[0]]
+    for table, group in zip(shown_by_group[1:], groups[1:]):
+        shown = np.maximum(shown, table[group])
+    i = _E0 + e
+    # Indexed flat: a 2-D fancy index costs twice as much.
+    key = keys.ravel()[i * keys.shape[1] + shown]
+    prefix = _PREFIX_WORDS[np.signbit(x) * len(_EXPONENTS) + i]
+    suffix = suffixes[i]
     words = np.empty((len(x), len(groups) + 2), "<u8")
     words[:, 0] = prefix | _LEAD_WORDS[lead] | points[0][key]
     for k, group in enumerate(groups, 1):
@@ -240,8 +256,11 @@ def _mantissa_cells(x, e, lead, groups, key, masks, suffixes):
             points[k][key]
     words[:, -1] = suffix
     end = 8 * words.shape[1]
-    return words.view(np.uint8)[:, 0 if prefix.any() else 6:
-                                end if suffix.any() else end - 8]
+    cells = words.view(np.uint8)[:, 0 if prefix.any() else 6:
+                                 end if suffix.any() else end - 8]
+    where = np.flatnonzero(fallback)
+    return _fallback_cells(cells, where, [
+        text(v).encode() for v in x[where].tolist()])
 
 
 def _fallback_cells(cells, where, texts):
@@ -266,8 +285,6 @@ def _float_cells(x):
     rounds as the exact one does unless it lies within 1e-5 of a tie: such
     values, and those that are not finite or whose magnitude lies outside
     [1e-290, 1e290] (0 aside), are formatted one at a time by ``%``.
-    A mantissa shows its digits up to the last significant one, or up to
-    the point if that is later (``_mantissa_cells``).
     """
     a = np.abs(x)
     regular = (a >= 1e-290) & (a <= 1e290)  # False for 0, inf and nan
@@ -292,14 +309,8 @@ def _float_cells(x):
     lead = m // 100000000
     high = m // 10000 - lead * 10000
     low = m - m // 10000 * 10000
-    after = _POINT_AFTER[_E0 + e]
-    key = after * 10 + np.maximum(np.maximum(_SHOWN_LOW[low],
-                                             _SHOWN_HIGH[high]), after)
-    cells = _mantissa_cells(x, e, lead, (high, low), key, _MASKS9,
-                            _SUFFIX_WORDS)
-    where = np.flatnonzero(fallback)
-    return _fallback_cells(cells, where, [
-        b"%.9g" % v for v in x[where].tolist()])
+    return _mantissa_cells(x, e, lead, (high, low), _layout(9, 9, False),
+                           fallback, "%.9g".__mod__)
 
 
 _TWO_PRODUCT_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into 26 bits
@@ -308,18 +319,11 @@ _UNDECIDED = 1e-7  # in units of the last of 17 digits
 
 @functools.cache
 def _repr_tables():
-    """The tables of ``_repr_cells``, built on its first call.
-
-    ``power``: per exponent k, at [_E0 + k], 10**k as hi + lo -- hi the
-    correctly rounded ``_POW10[_E0 + k]``, lo the correctly rounded rest,
-    from exact integers -- and hi split into two halves of at most 26 bits
-    (scaled to stay finite). ``shown[k][g]``: the digits of a 17-digit
-    mantissa up to the last significant one in its 4-digit group k = 0..3
-    holding g, or 0 for g = 0. ``keys``: at [(_E0 + e) * 18 + shown], the
-    mask key of a mantissa at decimal exponent e in repr's layout, where a
-    positional text shows at least one digit after the point. ``suffixes``:
-    the "e+XX" of exponent layout, empty for positional text (-4 <= e < 16).
-    """
+    """The power tables of ``_repr_cells``, built on its first call: per
+    exponent k, at [_E0 + k], 10**k as hi + lo -- hi the correctly rounded
+    ``_POW10[_E0 + k]``, lo the correctly rounded rest, from exact integers
+    -- and hi split into two halves of at most 26 bits (scaled to stay
+    finite)."""
     power = []
     for k, hi in zip(_EXPONENTS, _POW10.tolist()):
         if not math.isfinite(hi):
@@ -332,16 +336,7 @@ def _repr_tables():
         t = _TWO_PRODUCT_SPLIT * (hi * scale)
         high = (t - (t - hi * scale)) / scale
         power.append((hi, high, hi - high, lo))
-    shown = np.where(_K4 > 0, np.arange(5, 18, 4)[:, None] - _ZEROS4, 0)
-    after = np.array([e + 1 if 0 <= e < 16 else 0 if -4 <= e < 0 else 1
-                      for e in _EXPONENTS])
-    least = np.array([e + 2 if 0 <= e < 16 else 1 for e in _EXPONENTS])
-    keys = after[:, None] * 18 + np.maximum(np.arange(18), least[:, None])
-    return SimpleNamespace(
-        power=tuple(np.array(power).T.copy()), shown=shown.astype(np.uint8),
-        keys=keys.ravel(), masks=_mantissa_masks(17),
-        suffixes=_words(b"" if -4 <= e < 16 else b"e%+03d" % e
-                        for e in _EXPONENTS))
+    return tuple(np.array(power).T.copy())
 
 
 def _scaled(a, e, power):
@@ -360,7 +355,7 @@ def _scaled(a, e, power):
     return s, rest - (s - p)
 
 
-def _shortest(a, t):
+def _shortest(a, power):
     """repr's digits of the magnitudes ``a``, each in [1e-290, 1e290]: the
     decimal exponents e, the digits as 17-digit mantissas m (trailing zeros
     padding a shorter text), and where the choice is undecided.
@@ -384,12 +379,12 @@ def _shortest(a, t):
     # product of a value just below a power of ten may round up to it.
     e = binary * 78913 >> 18
     e += a * _POW10[_E0 + 16 - e] >= 1e17
-    s, rest = _scaled(a, e, t.power)
+    s, rest = _scaled(a, e, power)
     fix = ((s > 1e17) | (s == 1e17) & (rest >= 0)).astype(np.int64) - \
         ((s < 1e16) | (s == 1e16) & (rest < 0))
     if fix.any():
         e += fix
-        s, rest = _scaled(a, e, t.power)
+        s, rest = _scaled(a, e, power)
     floor = np.floor(rest)
     frac = rest - floor
     i17 = s.astype(np.int64) + floor.astype(np.int64)
@@ -414,40 +409,36 @@ def _shortest(a, t):
     return e, m, undecided
 
 
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(v: float) -> str:
+    """``json.dumps(v)`` of a float, without the encoder it builds per call."""
+    text = repr(v)
+    return _JSON_NON_FINITE.get(text, text)
+
+
 def _repr_cells(x):
-    """The JSON text of each value of the float64 array ``x``, as cells:
-    ``float.__repr__`` of a finite value, ``NaN``, ``Infinity`` or
-    ``-Infinity`` of the others. repr's digits come from ``_shortest``, and
-    these values are formatted one at a time instead: the not finite,
-    those whose magnitude lies outside [1e-290, 1e290] (0 aside), and
-    those whose digits ``_shortest`` leaves undecided."""
-    t = _repr_tables()
+    """``_json_float`` of each value of the float64 array ``x``, as cells:
+    ``float.__repr__`` of a finite value, its digits from ``_shortest``.
+    Out-of-range values (as in ``_float_cells``) and those whose digits
+    ``_shortest`` leaves undecided are written one at a time instead."""
     a = np.abs(x)
     regular = (a >= 1e-290) & (a <= 1e290)  # False for 0, inf and nan
-    if regular.all():
-        e, m, fallback = _shortest(a, t)
-    else:
-        # Zero keeps exponent 0 and takes mantissa 0: "0.0" or "-0.0".
-        fallback = ~(regular | (x == 0))
-        e = np.zeros(len(x), np.int64)
-        m = np.zeros(len(x), np.int64)
-        where = np.flatnonzero(regular)
-        e[where], m[where], fallback[where] = _shortest(a[where], t)
+    if not regular.all():
+        a = np.where(regular, a, 1.0)
+    e, m, undecided = _shortest(a, _repr_tables())
+    # Zero keeps exponent 0 and takes mantissa 0: "0.0" or "-0.0".
+    m *= regular
     # The lead digit and four groups of 4, from two halves of 8 digits.
     high = m // 10 ** 8
     low = m - high * 10 ** 8
     lead = high // 10 ** 8
     high -= lead * 10 ** 8
     top, bottom = high // 10000, low // 10000
-    groups = (top, high - top * 10000, bottom, low - bottom * 10000)
-    shown = t.shown[0][groups[0]]
-    for table, group in zip(t.shown[1:], groups[1:]):
-        shown = np.maximum(shown, table[group])
-    key = t.keys[(_E0 + e) * 18 + shown]
-    cells = _mantissa_cells(x, e, lead, groups, key, t.masks, t.suffixes)
-    where = np.flatnonzero(fallback)
-    return _fallback_cells(cells, where, [
-        json.dumps(v).encode() for v in x[where].tolist()])
+    return _mantissa_cells(
+        x, e, lead, (top, high - top * 10000, bottom, low - bottom * 10000),
+        _layout(17, 16, True), undecided | ~(regular | (x == 0)), _json_float)
 
 
 def _int_cells(x):
@@ -514,17 +505,17 @@ class _Rule(NamedTuple):
 
 
 # The rule of each format and dtype kind of a column: the spec, fed the
-# value or its text, writes what the kernel writes. ``%r`` is
-# ``float.__repr__``; an int's and a bool's JSON text is its CSV text.
+# value or its text, writes what the kernel writes. An int's and a bool's
+# JSON text is its CSV text.
 _INT = _Rule("%d", None, _int_cells)
 _BOOL = _Rule("%s", _BOOL_TEXT.__getitem__, _bool_cells)
 _RULES = {
     "csv": {"f": _Rule(f"%.{SIGNIFICANT_DIGITS}g", None, _float_cells),
             "i": _INT, "u": _INT, "b": _BOOL,
             "U": _Rule("%s", None, _text_cells)},
-    "json": {"f": _Rule("%r", None, _repr_cells), "i": _INT, "u": _INT,
-             "b": _BOOL, "U": _Rule("%s", encode_basestring_ascii,
-                                    _json_text_cells)},
+    "json": {"f": _Rule("%s", _json_float, _repr_cells),
+             "i": _INT, "u": _INT, "b": _BOOL,
+             "U": _Rule("%s", encode_basestring_ascii, _json_text_cells)},
 }
 
 # Tables of at least this many rows are written as byte matrices, smaller
@@ -555,11 +546,6 @@ def _rows(data, fmt: str, seps):
     rules = [by_kind[column.dtype.kind] for column in data]
     n_rows = len(data[0]) if data else 0
     if n_rows < _MATRIX_ROWS:
-        # repr spells non-finite floats nan and inf, JSON NaN and Infinity.
-        if fmt == "json":
-            rules = [_Rule("%s", json.dumps, None) if rule.spec == "%r" and
-                     not np.isfinite(column).all() else rule
-                     for rule, column in zip(rules, data)]
         template = seps[0] + seps[1].join([r.spec for r in rules]) + seps[2]
         values = [column.tolist() if rule.text is None
                   else map(rule.text, column.tolist())

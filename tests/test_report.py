@@ -183,15 +183,20 @@ def test_bundle_names_each_report_once(tables, histograms):
                                 for n in histograms])
 
 
-@pytest.mark.parametrize("edges, counts, error", [
-    pytest.param((0.0, 1.0), (1, 2), ValueError, id="two-counts-one-bin"),
-    pytest.param((0.0, 1.0, 2.0), (1,), ValueError, id="one-count-two-bins"),
-    pytest.param((0.0, 1.0), (True,), TypeError, id="bool-count"),
-    pytest.param(("0", "1"), (1,), TypeError, id="text-edges"),
+@pytest.mark.parametrize("edges, series, error", [
+    pytest.param((0.0, 1.0), (("x", (1, 2)),), ValueError,
+                 id="two-counts-one-bin"),
+    pytest.param((0.0, 1.0, 2.0), (("x", (1,)),), ValueError,
+                 id="one-count-two-bins"),
+    pytest.param((0.0, 1.0), (("x", (True,)),), TypeError, id="bool-count"),
+    pytest.param(("0", "1"), (("x", (1,)),), TypeError, id="text-edges"),
+    # JSON keys the series by label, so one would overwrite the other.
+    pytest.param((0.0, 1.0), (("a", (1,)), ("a", (2,))), ValueError,
+                 id="repeated-label"),
 ])
-def test_histogram_of_bad_edges_or_counts_rejected(edges, counts, error):
+def test_histogram_of_bad_edges_or_counts_rejected(edges, series, error):
     with pytest.raises(error, match="histogram 'h'"):
-        HistogramTable("h", edges, (("x", counts),))
+        HistogramTable("h", edges, series)
 
 
 def test_config_digest_stability():
@@ -289,7 +294,7 @@ def test_csv_matches_row_wise_oracle(table):
 def histograms(draw):
     n_bins = draw(st.sampled_from((0, 1, 2, 3, 32)))
     edges = draw(st.lists(floats, min_size=n_bins + 1, max_size=n_bins + 1))
-    labels = draw(st.lists(texts, min_size=1, max_size=5))
+    labels = draw(st.lists(texts, min_size=1, max_size=5, unique=True))
     counts = st.lists(ints, min_size=n_bins, max_size=n_bins).map(tuple)
     return HistogramTable("h", tuple(edges),
                           tuple((label, draw(counts)) for label in labels))
@@ -381,10 +386,19 @@ def test_float_cells_format_as_percent(values):
     assert _formats_as_percent(values)
 
 
+def _short_decimals(n):
+    """For every digit count d = 1..n and exponent k: d digits 1234..., and
+    d digits 10...01 (middle groups zero; 11 for d = 1), so that every
+    layout key shows up."""
+    return [float(f"{digits}e{k}") for d in range(1, n + 1)
+            for digits in ("12345678912345678"[:d], f"1{'0' * (d - 2)}1")
+            for k in range(-330, 310)]
+
+
 def test_float_cells_format_as_percent_beside_every_power_of_ten():
     powers = np.array([float(f"1e{k}") for k in range(-310, 309)])
     values = np.concatenate([powers, np.nextafter(powers, 0),
-                             np.nextafter(powers, np.inf)])
+                             np.nextafter(powers, np.inf), _short_decimals(9)])
     assert _formats_as_percent(np.concatenate([values, -values]))
 
 
@@ -464,7 +478,8 @@ def test_repr_cells_write_repr_beside_every_power_of_ten_and_two():
     powers = np.concatenate([[float(f"1e{k}") for k in range(-323, 309)],
                              np.ldexp(1.0, np.arange(-1074, 1024))])
     assert _writes_repr(np.concatenate([powers, np.nextafter(powers, 0),
-                                        np.nextafter(powers, np.inf)]))
+                                        np.nextafter(powers, np.inf),
+                                        _short_decimals(17)]))
 
 
 def _fallbacks(values):
