@@ -27,7 +27,7 @@ from .gates import (Calibration, GateKind, GateOp, InseparableError,
                     margin_analysis, margin_windows, parse_gate_ops,
                     pattern_label, truth_table)
 from .report import Table, config_digest, emit_csv, emit_json, make_bundle
-from .variation import (BLOCK, RNG_STREAM, CellArrays, VariationSpec,
+from .variation import (BLOCK, RNG_STREAM, VARIED, CellArrays, VariationSpec,
                         mc_tables, run_mc)
 
 EXIT_OK = 0
@@ -56,7 +56,8 @@ def _common_flags() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", default=None,
                         help=f"device parameter JSON (default: ${CONFIG_ENV})")
-    parser.add_argument("--topology", default="2t1r", choices=["2t1r", "vgsot"])
+    parser.add_argument("--topology", default="2t1r",
+                        choices=[t.value for t in Topology])
     parser.add_argument("--gate", default="nor", choices=[k.value for k in GateKind])
     parser.add_argument("--inputs", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
@@ -88,10 +89,10 @@ def _mc_flags(p) -> None:
     p.add_argument("--trials", "-n", type=int, default=1000)
     p.add_argument("--sigma", type=float, default=None,
                    help="relative sigma for t_ox, t_f and TMR at once")
-    p.add_argument("--sigma-t-ox", type=float, default=0.03)
-    p.add_argument("--sigma-t-f", type=float, default=0.03)
-    p.add_argument("--sigma-tmr", type=float, default=0.03)
-    p.add_argument("--sigma-ra", type=float, default=0.0)
+    defaults = VariationSpec()
+    for _, name in VARIED:
+        p.add_argument("--" + name.replace("_", "-"), type=float,
+                       default=getattr(defaults, name))
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; has no effect")
     p.add_argument("--bins", type=int, default=32)
@@ -273,13 +274,11 @@ def cmd_gate(args) -> int:
 
 
 def _variation_from_args(args) -> VariationSpec:
+    """The spec of the sigma flags; --sigma sets every sigma but RA's."""
     sig = args.sigma
-    return VariationSpec(
-        sigma_t_ox=sig if sig is not None else args.sigma_t_ox,
-        sigma_t_f=sig if sig is not None else args.sigma_t_f,
-        sigma_tmr=sig if sig is not None else args.sigma_tmr,
-        sigma_ra=args.sigma_ra,
-        seed=args.seed)
+    return VariationSpec(seed=args.seed, **{
+        name: sig if sig is not None and field != "RA" else getattr(args, name)
+        for field, name in VARIED})
 
 
 def cmd_mc(args) -> int:

@@ -61,15 +61,15 @@ class DeviceParams:
     """Single home of all per-cell device parameters.
 
     Units: lengths in meters, Ms in A/m, Ki0 in J/m^2, RA in ohm um^2,
-    beta in J/(V m), H_EX in A/m (sign-sensitive), rho_SOT in ohm m,
-    R_on in ohm, J_stt_crit in A/m^2. TMR0 is dimensionless (1.0 = 100%).
+    beta in J/(V m), H_EX_Oe in oersted (sign-sensitive), rho_SOT in
+    ohm m, R_on in ohm, J_stt_crit in A/m^2. TMR0 is dimensionless
+    (1.0 = 100%). The field names are the config-file keys.
 
     Defaults are a reference 50 nm perpendicular MTJ on a 60x50x3 nm
     heavy-metal channel; RA defaults to the low-RA (read-current) variant,
     ``default_vgsot`` gives the high-RA variant.
 
-    Note: ``alpha``, ``P`` and ``H_EX`` are stored for completeness but are
-    inert under the threshold law.
+    Note: ``H_EX_Oe`` is stored but inert under the threshold law.
     """
 
     D: float = 50e-9            # MTJ diameter
@@ -77,13 +77,11 @@ class DeviceParams:
     t_ox: float = 1.4e-9        # oxide (MgO) thickness
     Ms: float = 6.25e5          # saturation magnetization
     Ki0: float = 3.2e-4         # interfacial anisotropy at 0 V
-    alpha: float = 0.05         # Gilbert damping
-    P: float = 0.58             # spin polarization
     RA: float = 10.0            # resistance-area product
     TMR0: float = 1.0           # TMR ratio at 0 V
     beta: float = 60e-15        # VCMA coefficient
     theta_SH: float = 0.25      # spin Hall angle
-    H_EX: float = -50.0 * OERSTED   # exchange bias field
+    H_EX_Oe: float = -50.0      # exchange bias field
     L: float = 60e-9            # SOT channel length
     W: float = 50e-9            # SOT channel width
     T: float = 3e-9             # SOT channel thickness
@@ -195,12 +193,6 @@ def check_read_disturb(p: DeviceParams, i_mtj: float) -> bool:
 
 
 # --- parameter-file loading -------------------------------------------------
-#
-# Config keys mirror the DeviceParams field names, except the exchange bias
-# which is given in oersted as H_EX_Oe and converted on load.
-
-_CONFIG_FIELDS = tuple(name for name in _FIELDS if name != "H_EX")
-
 
 def load_device_params(source: "str | Path | Mapping",
                        base: DeviceParams | None = None) -> DeviceParams:
@@ -224,9 +216,7 @@ def load_device_params(source: "str | Path | Mapping",
     base = base if base is not None else DeviceParams.default_2t1r()
     changes = {}
     for key, value in mapping.items():
-        if key == "H_EX_Oe":
-            changes["H_EX"] = _as_number(key, value) * OERSTED
-        elif key in _CONFIG_FIELDS:
+        if key in _FIELDS:
             changes[key] = _as_number(key, value)
         else:
             raise ConfigError(f"unknown device parameter key: {key!r}")
@@ -234,10 +224,8 @@ def load_device_params(source: "str | Path | Mapping",
 
 
 def dump_device_params(p: DeviceParams) -> dict:
-    """Inverse of load_device_params: mapping with H_EX rendered in oersted."""
-    out = {name: getattr(p, name) for name in _CONFIG_FIELDS}
-    out["H_EX_Oe"] = p.H_EX / OERSTED
-    return out
+    """Inverse of load_device_params: the field mapping."""
+    return {name: getattr(p, name) for name in _FIELDS}
 
 
 def _as_number(key: str, value) -> float:

@@ -161,7 +161,6 @@ class PatternStats:
     expected: int
     trials: int
     successes: int
-    success_flags: np.ndarray  # per-trial verdicts, length ``trials``
     observables: dict          # name -> np.ndarray of length ``trials``
 
     @property
@@ -247,7 +246,7 @@ def run_mc(array_spec: ArraySpec, op: GateOp, n: int,
         bits = pattern_bits(p, op.n_inputs)
         patterns.append(PatternStats(
             bits=bits, expected=boolean_output(op.kind, bits), trials=n,
-            successes=int(flags[p].sum()), success_flags=flags[p],
+            successes=int(flags[p].sum()),
             observables=dict(zip(names, data[:, p]))))
     return MCResult(topology=array_spec.topology, op=op, success=flags,
                     observables=dict(zip(names, data)),

@@ -70,6 +70,18 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["alpha", "P", "H_EX"])
+def test_removed_parameters_are_unknown_keys_and_axes(tmp_path, capsys, name):
+    cfg = tmp_path / "dev.json"
+    cfg.write_text(json.dumps({name: 1.0}))
+    assert main(["truth-table", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown device parameter key: {name!r}" in capsys.readouterr().err
+    assert main(["sweep", "--axis", name, "--min", "0", "--max", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown sweep axis {name!r}" in capsys.readouterr().err
+
+
 def test_config_env_var(tmp_path, monkeypatch):
     cfg = tmp_path / "dev.json"
     cfg.write_text(json.dumps({"TMR0": 0.0}))
@@ -339,6 +351,14 @@ def test_sweep_unknown_axis(tmp_path, capsys):
     assert "unknown sweep axis" in capsys.readouterr().err
 
 
+def test_sweep_exchange_bias_axis_in_oersted(tmp_path):
+    assert main(["sweep", "--axis", "H_EX_Oe", "--min", "-100", "--max", "100",
+                 "--points", "3", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep_sweep.csv").read_text().splitlines()
+    column = [line.split(",")[0] for line in lines if line[0] != "#"]
+    assert column == ["H_EX_Oe", "-100", "0", "100"]
+
+
 def test_vgsot_beta_sweep_margin_increases(tmp_path):
     # The threshold separation grows linearly with the VCMA slope while both
     # thresholds stay positive; past ~78 fJ/(V m) the 1.5 V operating point
@@ -571,22 +591,22 @@ def test_pulse_flag_reaches_the_report(tmp_path, command, setup):
 OP_FLAG_DIGESTS = [
     (["margin", "--v-drive", "-1.2", "--inputs", "3"], {
         "margin_patterns.csv":
-            "fde668b3ba7bb9802be2133b20a74b7195e8ff26c7a17302f3a52f121b9763cd",
+            "bd182c3e9514f5c952bbca2c3f46ad20df24958820e444334ba29d11b194ec4b",
         "margin_summary.csv":
-            "2ffdb7bd5be2e2d939f4d0fa2e72d0a6575301428a1ac546b82ca13ff3f5d926"}),
+            "8b9cc98b9ee7131426bea5ff4790d110f2d068b4a14a5020f5af3e5b6fe34631"}),
     (["margin", "--topology", "vgsot", "--gate", "or", "--v-drive", "1.2",
       "--format", "json"], {
         "margin_report.json":
-            "f3f2c59bf661a78e381044e113a28b566fad77b9a8eb76c14f4d7419c51b0029"}),
+            "6fa9e48d30bc07863ffa25c32d769d6ac55d57e6e434d53cc446775a8996f8df"}),
     (["sweep", "--axis", "RA", "--min", "5", "--max", "50", "--points", "4",
       "--v-drive", "0.9"], {
         "sweep_sweep.csv":
-            "919b5a851fc7d16aaf15ca328ca2df9b94081f09305de5c70eecf0a277b98496"}),
+            "5f26dc9a230acac98b5158591d88cf9a0d5575a549cbd248cf4d85711dcdf83f"}),
     (["sweep", "--axis", "t_f", "--min", "1e-9", "--max", "2e-9", "--points",
       "3", "--topology", "vgsot", "--gate", "nand", "--v-drive", "1.3",
       "--i-sot", "5e-5", "--format", "json"], {
         "sweep_report.json":
-            "9e75554c23a1a3dfa64647d140343487fa8780ef615a8f9fffc1b0e5b5e200de"}),
+            "4b2bec964608a0f22f2b6719d9130caca7b62e359eef8ad9c1fbbcf928584969"}),
 ]
 
 
@@ -777,8 +797,8 @@ def _argv(draw):
         if draw(st.booleans()):
             argv.append(f"--sigma={draw(_NUMBERS)}")
     elif command == "sweep":
-        argv += ["--axis", draw(st.sampled_from(["RA", "TMR0", "H_EX", "R_on",
-                                                 "beta", "bogus"])),
+        argv += ["--axis", draw(st.sampled_from(["RA", "TMR0", "H_EX_Oe",
+                                                 "R_on", "beta", "bogus"])),
                  f"--min={draw(_NUMBERS)}", f"--max={draw(_NUMBERS)}",
                  f"--points={draw(st.integers(0, 5))}"]
     elif command == "gate":

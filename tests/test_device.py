@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from sotlogic import (ConfigError, DeviceParams, MagState, Polarity,
                       critical_sot_current, dump_device_params,
                       load_device_params, mtj_area, mtj_resistance,
                       switch_decision)
-from sotlogic.device import HBAR, MU0, OERSTED, Q_E
+from sotlogic.device import HBAR, MU0, Q_E
 from sotlogic.variation import CellArrays
 
 P2 = DeviceParams.default_2t1r()
@@ -203,9 +204,9 @@ def test_disturb_monotone(i, frac):
 def test_defaults_match_reference_set():
     assert P2.D == 50e-9 and P2.t_f == 1.1e-9 and P2.t_ox == 1.4e-9
     assert P2.Ms == 6.25e5 and P2.Ki0 == 3.2e-4
-    assert P2.alpha == 0.05 and P2.P == 0.58 and P2.TMR0 == 1.0
+    assert P2.TMR0 == 1.0
     assert P2.beta == 60e-15 and P2.theta_SH == 0.25
-    assert P2.H_EX == pytest.approx(-50.0 * OERSTED)
+    assert P2.H_EX_Oe == -50.0
     assert (P2.L, P2.W, P2.T) == (60e-9, 50e-9, 3e-9)
     assert P2.rho_SOT == 2.78e-6
     assert P2.RA == 10.0 and PV.RA == 650.0
@@ -216,7 +217,7 @@ def test_load_from_json_file(tmp_path):
     cfg.write_text(json.dumps({"RA": 20.0, "H_EX_Oe": -25.0, "R_on": 0.0}))
     p = load_device_params(cfg)
     assert p.RA == 20.0
-    assert p.H_EX == pytest.approx(-25.0 * OERSTED)
+    assert p.H_EX_Oe == -25.0
     assert p.R_on == 0.0
     assert p.D == P2.D  # untouched keys keep defaults
 
@@ -234,6 +235,16 @@ def test_non_numeric_value_rejected():
 def test_dump_round_trips():
     p = P2.replace(RA=13.5, TMR0=1.7)
     assert load_device_params(dump_device_params(p)) == p
+
+
+@pytest.mark.parametrize("topology", ["2t1r", "vgsot"])
+def test_shipped_configs_are_the_default_sets(topology):
+    path = Path(__file__).resolve().parent.parent / "configs" / \
+        f"default_{topology}.json"
+    default = getattr(DeviceParams, f"default_{topology}")()
+    assert path.read_text() == json.dumps(dump_device_params(default),
+                                          indent=2, sort_keys=True) + "\n"
+    assert load_device_params(path, base=P2.replace(RA=1.0)) == default
 
 
 def test_validation_names_offending_field():

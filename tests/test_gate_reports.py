@@ -40,11 +40,11 @@ DIGESTS = {
         "gate_state.csv":
             "98b379edff039b3d4efb27695122bd899d7fe454c7601adc549c58f43f09142e",
         "gate_traces.csv":
-            "496da3a4bf291ac8737d57decdd3b86f68fb57fca416e4b7836ec53c030271bf",
+            "209b6274a868a8c9cc449b6b2cfccf3b76cbe4fc4a1f43fe4649dda921aec3e8",
     },
     ('mixed', '2t1r', 'json'): {
         "gate_report.json":
-            "a420fe4c6a2528c628be98f5d82fbe0b5b1ae7a2163652c8895a1c0d2192c85e",
+            "21da24489d7e3acac24795d453e5cdec251de79955e6dca1a4dec277354293a3",
         "gate_state.csv":
             "98b379edff039b3d4efb27695122bd899d7fe454c7601adc549c58f43f09142e",
     },
@@ -52,11 +52,11 @@ DIGESTS = {
         "gate_state.csv":
             "7f340ac827112ab051f501a6b78207f31213168c09f82ec8022cb6ea3e7c2941",
         "gate_traces.csv":
-            "fbe73b6c359388a9845ef24a01c9d0d63aff121941401739937a63b12811f1cd",
+            "750ade6708e20fb0d4d8282d2d50df3e388aedfaafd34966afd06c54e09068e0",
     },
     ('mixed', 'vgsot', 'json'): {
         "gate_report.json":
-            "353d93e176d5025764d2e284edf2d6cfd84eb8c5a9bb003a9b886257866420ba",
+            "10b79a75d031849a445ac1ae9dbd5dd05e6490ad172ccb90f823c8f8b1c38348",
         "gate_state.csv":
             "7f340ac827112ab051f501a6b78207f31213168c09f82ec8022cb6ea3e7c2941",
     },
@@ -64,11 +64,11 @@ DIGESTS = {
         "gate_state.csv":
             "1c6e22205aff11f1f727de0c53281cd06e4e986727c38dde2970a56f5aaa0b95",
         "gate_traces.csv":
-            "001bcbe27aabb5176a6a84045b102d632c274d24e350155983e08733b271f6af",
+            "4892928dc3da408646e77de8590a0c1ac08aede0c50b0789fd8517e2681efdbe",
     },
     ('array', '2t1r', 'json'): {
         "gate_report.json":
-            "fe105af4629ec6d9e55ab8df4ed98f6b8f2843efecab70aa48185335c1fe022a",
+            "e76bc4f6d27971286c2a48778488a107251a0bd36bf4058798b858e02c2939ee",
         "gate_state.csv":
             "1c6e22205aff11f1f727de0c53281cd06e4e986727c38dde2970a56f5aaa0b95",
     },
@@ -76,11 +76,11 @@ DIGESTS = {
         "gate_state.csv":
             "5671f848ead8f8b470bd1c74fa8292c41e9e6d09a7f8e8173c67d4113463a4db",
         "gate_traces.csv":
-            "82ab8bf04730aaf846603aac00996cbf2d33d0e521271f71fcd92efeef3d6761",
+            "cad9e53db7755da8b0981654170bc94360aa4f87eb4fac25b4cd1847fa36b918",
     },
     ('array', 'vgsot', 'json'): {
         "gate_report.json":
-            "15ad69f3dd56f424830a7eceaeaf9899aeebb1a06a58325b637ff5ef1a4592f5",
+            "a50b32b8a6c331fee13e710db299465b8e27bbf9a738bbf4adca9bc5d4111041",
         "gate_state.csv":
             "5671f848ead8f8b470bd1c74fa8292c41e9e6d09a7f8e8173c67d4113463a4db",
     },
@@ -88,11 +88,11 @@ DIGESTS = {
         "gate_state.csv":
             "0315d51fe86f7505491ba701f1e03a995244228eecfeb68c7daf7939d1a57729",
         "gate_traces.csv":
-            "666622634650ccd223c2b801f5aff47d3813b404b0ffed36dd446884cc00d4fd",
+            "f3b72bc3d03d06d71a9f6b7da5e6fff5160eb30a00b02483fe12944b8c9439ea",
     },
     ('empty', '2t1r', 'json'): {
         "gate_report.json":
-            "d5b124136aacbad0bfc068188260b389f2d334bb7f53c97b44f2ff1f77d3e027",
+            "ab1b2f229c9353a96b3fca2c41ac4eafbbf9411420c01785f2f9a0a612c34e01",
         "gate_state.csv":
             "0315d51fe86f7505491ba701f1e03a995244228eecfeb68c7daf7939d1a57729",
     },
@@ -100,11 +100,11 @@ DIGESTS = {
         "gate_state.csv":
             "c703564ed41d6c23762dc0f86f8bbce2699f5c709b7a576e3f080e995f39fa72",
         "gate_traces.csv":
-            "f266f660251e93a6cc48cba259e1527c9ec278a53477bc47d179d5ead2d333e1",
+            "8d60cd3bd5dce201544cc8c636ff58596233ebde49852733c7523d0c2fa6ac9c",
     },
     ('empty', 'vgsot', 'json'): {
         "gate_report.json":
-            "77a10f517d2904971a8f1f89b4f589339893dbf62bedaa038cfe1c66d5879ee2",
+            "9852b91bdeed2b219b6456ca1c9897bfecef0744cf91a5c759785e14b8379e71",
         "gate_state.csv":
             "c703564ed41d6c23762dc0f86f8bbce2699f5c709b7a576e3f080e995f39fa72",
     },

@@ -46,83 +46,83 @@ FLAGS = {
 DIGESTS = {
     ('2t1r', 'nor', 1, 'csv'): {
         "mc_histogram.csv":
-            "5b2a0baab45e4fa3c6cf04cd23e92fb0fb6fe02552d08550ae2a260013e8bcc0",
+            "40a54115ce30818e6b6fcc11a73ebaa6c7278d33cffb682076e6ede2977e755f",
         "mc_summary.csv":
-            "35fcb073f5cc03a26fae6641b9c4da5b1a2a97cbfcaadaf3cd7b86e1de98d721",
+            "f3fe085f228239573c734e173fef3409f2ab3be3cd3bb0cb9f5ebdb36f51dc78",
         "mc_trials.csv":
-            "6d32b3409943f0d55f6ef0ad42c035501f3c2dffbc307efa10c674774c1aaab0",
+            "988b326d37d43380d0a1d5fc4bd6b7762605cb9a0218b1173d3b76fff67afc33",
     },
     ('2t1r', 'nand', 3, 'json'): {
         "mc_report.json":
-            "0b9097c3de845474bd52daf970e854e42d4e5d948dac02119fd6fbd3eda6c93a",
+            "20a46a4b0673a9458756ec4151f2fca8e09fbb3c589688e8f5b48148d9f66d8e",
     },
     ('2t1r', 'or', 3, 'csv'): {
         "mc_histogram.csv":
-            "b6724f5dfa31b8f7fc278886d49783cd760292d62237a7a3fd87a08d11b3a777",
+            "21cfe23f461056c6ebc8eab1cc0f6334ce6bee4d2b42887d6ca5d13011a9b600",
         "mc_summary.csv":
-            "480d9f03f5ba623a94c2ceeac8a634826b550c107beaebcc9d730370bcbf75eb",
+            "7f0fbc95d6d1103f3171573a99838adc06500acf82873f36a05865f90cc9fd52",
         "mc_trials.csv":
-            "f0b73de04cf6c861384a23a1374edb5831955bb80e1120dd8aeb7e056fb4a7cc",
+            "dd580550216058f7ba25b00eec4fd9b0920a1beae782638ebc2fd677df65bc93",
     },
     ('2t1r', 'and', 1, 'json'): {
         "mc_report.json":
-            "927bbc422dfb6c79516e210da90313f52a921effeaf0789f95c7ff0b56ff1600",
+            "cb3ad741a7cbff666f3c44b79cfecd558ea6443f763394434bbb75ba99a59373",
     },
     ('vgsot', 'or', 1, 'json'): {
         "mc_report.json":
-            "357853aa47e13a5e89b31be26f553576e7ff39fbf6ec24d2b99637e9ac07d9ae",
+            "7493dba6aae8c17f8e1caf067e949fb7f40c8eacccd59d6864cdf5362222deb6",
     },
     ('vgsot', 'and', 3, 'csv'): {
         "mc_histogram.csv":
-            "d124deb970033d6aca0d52b98aefa661253c1b7beca01778ceb49c257139d859",
+            "6991e2f39add7f6162fecafc3857794ab63ede44309ef6554196ea9b8dcb2c13",
         "mc_summary.csv":
-            "90c0272e2ca0f638132158daa9e921d23e5c65ebcf1e5228656beb7bd79190e6",
+            "48c6d67f4387e3e6c356e23cbe2a63f2e0612868456cd1fc4ebb08cf5a32ca1a",
         "mc_trials.csv":
-            "26468a1d10fa5bc903b5ace9527ce23752c77d8d3db522a5f294f4fd94401eb5",
+            "149817b93b361bef270a99ee04ff564725266f8f928fad756686cae1f7efb50f",
     },
     ('vgsot', 'nand', 3, 'json'): {
         "mc_report.json":
-            "3953850bd5398388ec40f924ec23d274dc15a35810ad247d290c63ac41de3a12",
+            "32bb7f121accc1e3d9fc7d4b6b19dba71b133679d2f1194f18c0fa9c53a7c3b0",
     },
     ('vgsot', 'nor', 1, 'csv'): {
         "mc_histogram.csv":
-            "287707fa16e58dc634f255b740822dd62f33231395db127039917edc9a84fdc8",
+            "6d709edde7ca906656c399c90d1a957ae3de70f791dc0745311edbd3ae79302f",
         "mc_summary.csv":
-            "62ca8911c103484a6a21b3dea834bfff9ceda3743a383cad937a3f7cb0707450",
+            "72647f956f9502bbfa888ff4019da602dc91fd25003357c49ec7d874486db412",
         "mc_trials.csv":
-            "03af79f5503d44742bece7c656fa9f8cd11d318499a4e7aeadcd9a7047ecfe8c",
+            "7e6adfde69328da7141224cb6b8a9568bf2b3adbd5f38656343ad3f7670291dc",
     },
     ('vgsot', 'and', 4, 'json'): {
         "mc_report.json":
-            "3d1f728becf36681ef567ec9966e7ea78f4f4168399ba244c1bd45017c77ed05",
+            "4922236bf4f2ee2f92c29995cfda6ebe841221583b1bbc51426c53551e096d92",
     },
     ('2t1r', 'nor', 8, 'csv'): {
         "mc_histogram.csv":
-            "2830f184a073fed6ce91b699993b9b48cf45c678743eeefebcdb7fbe8793cf80",
+            "90c1e5af230908a15aff58cc6fb7d510dc7121fc20793f7b2c331a5fc2002118",
         "mc_summary.csv":
-            "c189f06a6a426e2bce5f138ef09671f5e8a98b844b217c85e0f999a983eaf0c7",
+            "a4410c0afae1dd7387f80c9b5c66ac741d5258c847ce4cc6999af37ff46d9532",
         "mc_trials.csv":
-            "66163a8e0f1b502e52d48dce185c798c225918267387bcd648da3920062ef336",
+            "71163d1c4fd926cae565e28b520a3eb0cbbbf5b21d0a0cb90dc63cfef29d253d",
     },
     ('vgsot', 'or', 3, 'csv'): {
         "mc_histogram.csv":
-            "04385e39791bc9085e4ae5e54836345158c39f803430c9201068fb93e0ace00a",
+            "aa53be422034afe18c730a8b884749ee2f21218beeb80a27d9b2259aa578127d",
         "mc_summary.csv":
-            "3285a285f0d11c1abc0bb6af33e40d2e1028e006c2ca2184237d8fa3a64a687c",
+            "1e8591de7ea9b1455072e302117a74e54c57f3119f0830963f83cd8b5d3cd9ee",
         "mc_trials.csv":
-            "e84dc487e87d8d60e0d818b60ceb5995ef1756c09d61e023158e42e4ca875c17",
+            "5af73c33d2825c93848043468b81f7ce10fd5b50d00857c0c24a1c16403ee68c",
     },
     ('2t1r', 'nand', 2, 'json'): {
         "mc_report.json":
-            "279ecdc05e674ed5bcf9a4f25d8cc41f29896908d2bd784d162d81a1bebbd8cb",
+            "0d1a96947ff7593f7225152d19c6a91147408ea0656c800c6fff8abfcf97b377",
     },
     ('2t1r', 'nor', 4, 'csv'): {
         "mc_histogram.csv":
-            "f111e6fc78bf58c7e01ea38806ba430051ce5821559f5ba8ad46fc55bbaacd42",
+            "2b3e450cc8ca0b98e35dc8b50e06fea76e7955a9ec90f86a41a071c02c134b3f",
         "mc_summary.csv":
-            "90e8404bda340f091af05279a54e5708502a8bd685420c2723bd3a099d2260ff",
+            "0f3212e531a717e4e65e5eaf8d7f6208c0ed4e070a5b0aaed124c076e3bcc48c",
         "mc_trials.csv":
-            "8acc1a42c5d52f786419284537d75666ea6a7fad8d174a97e137b40f09d9d7ae",
+            "a800861ac697aec8d99b70e06130eb9744e08bb3dc981b8bf1496a60ed6acf90",
     },
 }
 

@@ -243,7 +243,7 @@ def test_failures_match_threshold_crossings():
     crossings = int(np.sum(zero.observables["i_out"] >=
                            zero.observables["i_crit"]))
     assert zero.trials - zero.successes == crossings
-    assert np.array_equal(~zero.success_flags,
+    assert np.array_equal(~result.success[0],
                           zero.observables["i_out"] >= zero.observables["i_crit"])
 
 
@@ -301,10 +301,10 @@ def test_kernel_matches_execute_gate_trial_by_trial(topology, kind, n_inputs):
             _, observed, i_crit, switched = solve_pattern(
                 topology, op, p.bits, devs[:-1], devs[-1], op.v_drive)
             actual = op.out_init ^ switched
-            assert bool(p.success_flags[t]) == (actual == p.expected)
+            assert bool(result.success[index, t]) == (actual == p.expected)
             assert p.observables[first][t] == observed
             assert p.observables["i_crit"][t] == i_crit
-            verdicts.add(bool(p.success_flags[t]))
+            verdicts.add(bool(result.success[index, t]))
     assert verdicts == {True, False}
 
 
@@ -364,7 +364,6 @@ def test_campaign_spanning_blocks_is_worker_independent():
     for index, p in enumerate(result.patterns):
         assert p.trials == BLOCK + 3
         assert p.successes == result.success[index].sum()
-        assert np.shares_memory(p.success_flags, result.success)
         for name, values in p.observables.items():
             assert np.array_equal(values, result.observables[name][index])
     # Trials past the first block come from the stream of block 1.
@@ -384,7 +383,7 @@ def test_trial_columns_are_arrays_of_the_row_values():
     assert index == [k for _, k in cases]
     assert i_crit == [p.observables["i_crit"][k] for p, k in cases]
     assert i_out == [p.observables["i_out"][k] for p, k in cases]
-    assert ok == [p.success_flags[k] for p, k in cases]
+    assert ok == result.success.ravel().tolist()
     for column, kind in zip(trials.data, "Uiffb"):
         assert isinstance(column, np.ndarray) and column.ndim == 1
         assert column.dtype.kind == kind
