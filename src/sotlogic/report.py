@@ -1,18 +1,20 @@
 """Deterministic serialization of simulation results to CSV and JSON.
 
 Identical inputs serialize byte-for-byte identically: no timestamps, sorted
-metadata, fixed column order, dot decimal separator, LF line endings, and
-floats rendered with 9 significant digits in CSV (full precision in JSON so
-round-trips are lossless). A table holds each column as a 1-D numpy array
-of one of five dtype kinds (float, int, unsigned int, bool, str), and each
-kind has one rule per format (``_RULES``): a ``%`` spec, an optional map
-of a value to the text the spec takes, and a byte-matrix kernel, which
-write the same text. One renderer (``_rows``) writes the rows of every
-table in either format: byte matrices for a table of at least
-``_MATRIX_ROWS`` rows, else one ``%`` template applied to each row. The
-float kernels, ``_float_cells`` (``%.9g``) and ``_repr_cells`` (repr, the
-shortest text that reads back), make digits with numpy, and one writer
-lays out both kernels' cells by one layout builder (``_layout``).
+metadata, fixed column order, dot decimal separator, UTF-8 bytes with LF
+line endings whatever the locale or OS, and floats rendered with 9
+significant digits in CSV (full precision in JSON so round-trips are
+lossless). A table holds each column as a 1-D numpy array of one of five
+dtype kinds (float, int, unsigned int, bool, str), and each kind has one
+rule per format (``_RULES``): a ``%`` spec, an optional map of a value to
+the text the spec takes, and a byte-matrix kernel, which write the same
+text. One renderer (``_rows``) yields the rows of every table as UTF-8
+chunks for files opened in binary mode: byte matrices less their NUL
+padding for a table of at least ``_MATRIX_ROWS`` rows, else one ``%``
+template applied to each row. The float kernels, ``_float_cells``
+(``%.9g``) and ``_repr_cells`` (repr, the shortest text that reads back),
+make digits with numpy, laid out by one builder (``_layout``). The JSON
+skeleton has a small writer of its own (``_json_text``).
 """
 
 from __future__ import annotations
@@ -517,6 +519,9 @@ _RULES = {
              "i": _INT, "u": _INT, "b": _BOOL,
              "U": _Rule("%s", encode_basestring_ascii, _json_text_cells)},
 }
+# The JSON text of a value of each exact type a column holds.
+_JSON_FLAT = {t: _RULES["json"][np.dtype(d).kind].text or str
+              for t, d in _DTYPES.items()}
 
 # Tables of at least this many rows are written as byte matrices, smaller
 # ones by one ``%`` template per row, in CSV and JSON alike. Measured in
@@ -532,7 +537,7 @@ _MATRIX_ROWS = 64
 
 
 def _rows(data, fmt: str, seps):
-    """The rows of a table with columns ``data`` in format ``fmt``, as text
+    """The rows of a table with columns ``data`` in format ``fmt``, as UTF-8
     chunks rendered as they are iterated: ``seps[0]`` before a row's first
     cell, ``seps[1]`` between cells and ``seps[2]`` after the last.
 
@@ -540,8 +545,8 @@ def _rows(data, fmt: str, seps):
     between the separators (which hold no ``%``) renders each row. From
     ``_MATRIX_ROWS`` rows on, chunks of ``_CHUNK_ROWS`` rows are rendered by
     the kernels: per chunk, the float columns' cells come from one kernel
-    call, and every column's cells go into one byte matrix between constant
-    separator columns, whose NULs are then dropped."""
+    call, and every column's cells are copied into one byte matrix laid
+    with the separators as a template row, whose NULs are then dropped."""
     by_kind = _RULES[fmt]
     rules = [by_kind[column.dtype.kind] for column in data]
     n_rows = len(data[0]) if data else 0
@@ -550,7 +555,7 @@ def _rows(data, fmt: str, seps):
         values = [column.tolist() if rule.text is None
                   else map(rule.text, column.tolist())
                   for rule, column in zip(rules, data)]
-        yield "".join(map(template.__mod__, zip(*values)))
+        yield "".join(map(template.__mod__, zip(*values))).encode()
         return
     floats = [k for k, column in enumerate(data) if column.dtype.kind == "f"]
     first, between, last = (np.frombuffer(s.encode(), np.uint8) for s in seps)
@@ -564,24 +569,22 @@ def _rows(data, fmt: str, seps):
             blocks = stacked.reshape(len(floats), -1, stacked.shape[1])
             for k, block in zip(floats, blocks):
                 cells[k] = block
-        pieces = [first]
+        row = [first]
         for c in cells:
-            pieces += [c, between]
-        pieces[-1] = last
-        widths = [p.shape[-1] for p in pieces]
-        matrix = np.empty((len(cells[0]), sum(widths)), np.uint8)
-        end = 0
-        for piece, width in zip(pieces, widths):
-            matrix[:, end:end + width] = piece
-            end += width
-        yield matrix.tobytes().translate(None, b"\0").decode("utf-8")
+            row += [np.zeros(c.shape[1], np.uint8), between]
+        row[-1] = last
+        at = np.cumsum([0] + [len(p) for p in row]).tolist()
+        matrix = np.empty((len(cells[0]), at[-1]), np.uint8)
+        matrix[:] = np.concatenate(row)
+        for c, k in zip(cells, at[1::2]):
+            matrix[:, k:k + c.shape[1]] = c
+        yield matrix.tobytes().translate(None, b"\0")
 
 
 def _table_csv(table: Table, meta: dict):
-    """The text of ``table``'s CSV file, in pieces rendered as they are
-    iterated."""
+    """``table``'s CSV file as UTF-8 chunks rendered as they are iterated."""
     head = "\n".join([*_meta_lines(meta), ",".join(table.columns), ""])
-    return chain([head], _rows(table.data, "csv", ("", ",", "\n")))
+    return chain([head.encode()], _rows(table.data, "csv", ("", ",", "\n")))
 
 
 def emit_csv(bundle: ReportBundle, out_dir, prefix: str):
@@ -600,16 +603,29 @@ def emit_csv(bundle: ReportBundle, out_dir, prefix: str):
     written = []
     for table in (*bundle.tables, *histograms):
         path = out / f"{prefix}_{table.name}.csv"
-        with path.open("w") as f:
+        with path.open("wb") as f:
             f.writelines(_table_csv(table, bundle.meta))
         written.append(path)
     return written
 
 
 def _json_text(value, depth: int) -> str:
-    """``value`` as the document's encoder writes it ``depth`` levels deep."""
-    return json.dumps(value, sort_keys=True, indent=2).replace(
-        "\n", "\n" + "  " * depth)
+    """``json.dumps(value, sort_keys=True, indent=2)`` ``depth`` levels deep,
+    without its pure-Python encoder: a flat list is one join of texts."""
+    if isinstance(value, dict):  # a key that is no str is quoted JSON
+        items = [encode_basestring_ascii(k if isinstance(k, str) else
+                                         json.dumps(k)) + ": " +
+                 _json_text(value[k], depth + 1) for k in sorted(value)]
+    elif isinstance(value, (list, tuple)):
+        types = set(map(type, value))
+        text = _JSON_FLAT.get(types.pop()) if len(types) == 1 else None
+        items = map(text, value) if text else [_json_text(v, depth + 1)
+                                               for v in value]
+    else:
+        return json.dumps(value)
+    ends, inner = "{}" if isinstance(value, dict) else "[]", "\n" + "  " * depth
+    return (ends[0] + inner + "  " + ("," + inner + "  ").join(items) +
+            inner + ends[1]) if value else ends
 
 
 # Nesting depth of a table's row list in the document
@@ -620,9 +636,9 @@ _VALUE_DEPTH = _ROWS_DEPTH + 2
 
 def _rows_json(table: Table):
     """The rows of ``table`` as ``json.dumps(indent=2)`` writes them in the
-    document, in chunks of text rendered as they are iterated."""
+    document, in chunks of bytes rendered as they are iterated."""
     if not (table.data and len(table.data[0])):
-        yield "[]"
+        yield b"[]"
         return
     outer = "\n" + "  " * (_ROWS_DEPTH + 1)
     inner = "\n" + "  " * _VALUE_DEPTH
@@ -630,9 +646,9 @@ def _rows_json(table: Table):
     # opens the list instead.
     chunks = _rows(table.data, "json", ("," + outer + "[" + inner,
                                         "," + inner, outer + "]"))
-    yield "[" + next(chunks)[1:]
+    yield from (b"[", memoryview(next(chunks))[1:])
     yield from chunks
-    yield "\n" + "  " * _ROWS_DEPTH + "]"
+    yield b"\n" + b"  " * _ROWS_DEPTH + b"]"
 
 
 def emit_json(bundle: ReportBundle, path) -> Path:
@@ -645,21 +661,20 @@ def emit_json(bundle: ReportBundle, path) -> Path:
     tables = {t.name: t for t in bundle.tables}
     names = sorted(tables)
     histograms = {
-        h.name: {"bin_edges": list(h.bin_edges),
-                 "series": {label: list(counts) for label, counts in h.series}}
+        h.name: {"bin_edges": h.bin_edges, "series": dict(h.series)}
         for h in bundle.histograms}
     head = ('{\n  "histograms": ' + _json_text(histograms, 1) +
             ',\n  "meta": ' + _json_text(bundle.meta, 1) + ',\n  "tables": {')
     table_heads = [f'\n    {_json_text(name, 2)}: {{\n      "columns": '
-                   f'{_json_text(list(tables[name].columns), 3)},\n      "rows": '
-                   for name in names]
+                   f'{_json_text(tables[name].columns, 3)},\n      "rows": '
+                   .encode() for name in names]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as f:
-        f.write(head)
+    with path.open("wb") as f:
+        f.write(head.encode())
         for k, (table_head, name) in enumerate(zip(table_heads, names)):
-            f.write(("," if k else "") + table_head)
+            f.write((b"," if k else b"") + table_head)
             f.writelines(_rows_json(tables[name]))
-            f.write("\n    }")
-        f.write("\n  }\n}\n" if names else "}\n}\n")
+            f.write(b"\n    }")
+        f.write(b"\n  }\n}\n" if names else b"}\n}\n")
     return path

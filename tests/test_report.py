@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -138,6 +142,38 @@ def test_lone_surrogate_leaves_csv_as_it_was(tmp_path):
                                                (["ok", "\ud800"],))]),
                  tmp_path, "x")
     assert sentinel.read_bytes() == b"kept\n"
+
+
+# Writes the CSV files and the JSON document of a table holding non-ASCII
+# text, of n rows, into out.
+_NON_ASCII_REPORTS = r"""
+from sotlogic import Table, emit_csv, emit_json, make_bundle
+def write(n, out):
+    table = Table("t", ("text", "x"), (["caf\u00e9", '"\u65e5"'] * (n // 2),
+                                       [0.1 * k for k in range(n)]))
+    bundle = make_bundle({"note": "caf\u00e9"}, tables=[table])
+    emit_csv(bundle, out, "r")
+    emit_json(bundle, f"{out}/r.json")
+"""
+
+
+@pytest.mark.parametrize("n_rows", [2, 80])  # rows by template, by matrix
+def test_report_bytes_alike_under_an_ascii_locale(tmp_path, n_rows):
+    # Reports are UTF-8 with LF endings whatever the locale's encoding.
+    scope = {}
+    exec(_NON_ASCII_REPORTS, scope)
+    scope["write"](n_rows, str(tmp_path / "utf8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0", PYTHONPATH=str(Path(report.__file__).parents[1]))
+    code = _NON_ASCII_REPORTS + f"write({n_rows}, {str(tmp_path / 'c')!r})"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("r_t.csv", "r.json"):
+        data = (tmp_path / "c" / name).read_bytes()
+        assert data == (tmp_path / "utf8" / name).read_bytes()
+        assert b"\r\n" not in data
+    assert "caf\u00e9".encode() in (tmp_path / "c" / "r_t.csv").read_bytes()
 
 
 @pytest.mark.parametrize("column, error", [
@@ -287,7 +323,7 @@ def test_csv_matches_row_wise_oracle(table):
                                        report_oracle.rows_of(table), meta)
     for matrix_rows in (1, 10**9):  # byte matrices, then rows
         with mock.patch.object(report, "_MATRIX_ROWS", matrix_rows):
-            assert "".join(_table_csv(table, meta)) == expected
+            assert b"".join(_table_csv(table, meta)) == expected.encode()
 
 
 @st.composite
@@ -312,9 +348,9 @@ def test_histogram_csv_matches_row_wise_oracle(tmp_path_factory, hist):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tabs=st.lists(tables(), max_size=3, unique_by=lambda t: t.name))
-def test_json_matches_row_wise_oracle(tmp_path_factory, tabs):
-    hist = HistogramTable("h", (0.0, 0.5, 1.0), (("00", (3, 7)),))
+@given(tabs=st.lists(tables(), max_size=3, unique_by=lambda t: t.name),
+       hist=histograms())
+def test_json_matches_row_wise_oracle(tmp_path_factory, tabs, hist):
     # A meta string spelled like a rows placeholder: a regression input
     # for any encoder that splices the rows into encoded text.
     bundle = make_bundle({"seed": 1, "label": "\x00rows 0.0"}, tables=tabs,
@@ -324,6 +360,26 @@ def test_json_matches_row_wise_oracle(tmp_path_factory, tabs):
     for matrix_rows in (1, 10**9):  # byte matrices, then rows
         with mock.patch.object(report, "_MATRIX_ROWS", matrix_rows):
             assert emit_json(bundle, path).read_text() == expected
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), floats, st.sampled_from((1e300, 2**64, -2**100)),
+    st.integers(), texts)
+# Values as the document's skeleton holds them: flat lists of one type of
+# number or text beside nested lists, tuples and dicts, empty ones too.
+json_values = st.recursive(json_scalars, lambda inner: st.one_of(
+    st.sampled_from((floats, st.integers(), texts)).flatmap(st.lists),
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(texts, inner, max_size=4),
+    st.dictionaries(st.integers(), inner, max_size=4)), max_leaves=20)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=json_values, depth=st.integers(0, 4))
+def test_skeleton_writer_matches_json_dumps(value, depth):
+    expected = json.dumps(value, sort_keys=True, indent=2)
+    assert report._json_text(value, depth) == expected.replace(
+        "\n", "\n" + "  " * depth)
 
 
 def test_non_finite_floats_spelled_as_json_does(tmp_path):

@@ -460,6 +460,44 @@ def test_histogram_counts_match_numpy_row_by_row(bins, trials, equal, data):
         assert [c.max() for c in hist.counts.values()] == [trials] * 4
 
 
+@pytest.mark.parametrize("lo, hi, bins", [
+    (-1.0, 4.0, 5), (0.0, 4.0, 32), (1.7e-4, 2.9e-4, 32), (-3e-5, 0.0, 7),
+    # Bins a fraction of an ulp wide: edges repeat.
+    (1.0, 1.0 + 4 * 2**-52, 32),
+])
+def test_histogram_bins_values_on_every_edge(lo, hi, bins):
+    # Each edge once, lo and hi among them: every bin holds its lower edge,
+    # and the last bin hi too.
+    campaign = small_campaign()
+    edges = np.linspace(lo, hi, bins + 1)
+    values = np.tile(edges, (4, 1))
+    result = dataclasses.replace(
+        campaign, observables={campaign.primary_observable: values})
+    hist = current_histogram(result, bins=bins)
+    assert np.array_equal(hist.bin_edges, edges)
+    expected = np.histogram(edges, bins=edges)[0]
+    if len(set(edges.tolist())) == len(edges):
+        assert expected.tolist() == [1] * (bins - 1) + [2]
+    for counts in hist.counts.values():
+        assert np.array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 2.5e-4, -7.0, 1e300, 5e-324])
+def test_histogram_of_a_degenerate_range(value):
+    # No spread: the bins are padded around the one value, which lands in
+    # the bin np.histogram puts it in, for any bin count.
+    campaign = small_campaign()
+    values = np.full((4, 5), value)
+    result = dataclasses.replace(
+        campaign, observables={campaign.primary_observable: values})
+    for bins in (1, 2, 7, 32):
+        hist = current_histogram(result, bins=bins)
+        expected = np.histogram(values[0], bins=hist.bin_edges)[0]
+        assert expected.sum() == 5
+        for counts in hist.counts.values():
+            assert np.array_equal(counts, expected)
+
+
 def test_histogram_counts_match_numpy_past_one_block():
     # Rows of more than BLOCK trials are binned a part at a time.
     campaign = small_campaign()
