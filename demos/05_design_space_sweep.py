@@ -11,25 +11,22 @@ Run: python demos/05_design_space_sweep.py
 import numpy as np
 
 from sotlogic import (ArraySpec, DeviceParams, GateKind, Topology,
-                      critical_sot_current, margin_analysis, mtj_area)
+                      margin_analysis, sweep_margins)
 
 
 def main():
-    base = DeviceParams.default_2t1r()
+    spec = ArraySpec(Topology.TWO_T_ONE_R, 3, 1, DeviceParams.default_2t1r())
+    sweep = sweep_margins(spec, GateKind.NOR, 2, "RA", np.linspace(5, 50, 10))
     print("RA sweep, 2-input NOR, 1.1 V drive, R_on = 1 kohm")
     print(" RA      margin   min-switch  device-Ic  feasible  disturb")
     print("[ohm um^2] [uA]      [uA]        [uA]")
     previous = None
-    for ra in np.linspace(5.0, 50.0, 10):
-        params = base.replace(RA=float(ra))
-        spec = ArraySpec(Topology.TWO_T_ONE_R, 3, 1, params)
-        rep = margin_analysis(spec, GateKind.NOR, 2)
-        i_dev = critical_sot_current(params)
-        feasible = rep.margin > 0 and rep.hi >= i_dev
-        density = max(rep.max_input_current) / mtj_area(params)
-        disturb = "ok" if density < params.J_stt_crit else "RISK"
-        print(f"  {ra:5.1f}   {rep.margin * 1e6:6.2f}    {rep.hi * 1e6:7.2f}"
-              f"     {i_dev * 1e6:6.2f}     {str(feasible):5s}    {disturb}")
+    rows = zip(*(sweep[name].tolist() for name in (
+        "RA", "margin", "hi", "i_crit_device", "feasible", "disturb_ok")))
+    for ra, margin, hi, i_dev, feasible, disturb_ok in rows:
+        print(f"  {ra:5.1f}   {margin * 1e6:6.2f}    {hi * 1e6:7.2f}"
+              f"     {i_dev * 1e6:6.2f}     {str(feasible):5s}    "
+              f"{'ok' if disturb_ok else 'RISK'}")
         if previous is not None and previous != feasible:
             print("        ^-- feasibility boundary")
         previous = feasible

@@ -16,7 +16,8 @@ from .device import (MU0, OERSTED, ConfigError, DeviceParams, MagState,
 from .gates import (Calibration, GateConfigError, GateKind, GateOp, GateTrace,
                     InseparableError, MarginReport, TruthTable,
                     boolean_output, calibrate_gate, execute_gate,
-                    margin_analysis, parse_gate_ops, truth_table)
+                    margin_analysis, parse_gate_ops, sweep_margins,
+                    truth_table)
 from .network import Branch, NetworkSolution
 from .report import (HistogramTable, ReportBundle, Table, config_digest,
                      emit_csv, emit_json, make_bundle)
@@ -38,7 +39,7 @@ __all__ = [
     "load_device_params", "make_bundle", "margin_analysis",
     "mc_tables", "mtj_area",
     "mtj_resistance", "parse_gate_ops", "run_mc", "sample_cell",
-    "solve_2t1r_read", "solve_vgsot_divider",
+    "solve_2t1r_read", "solve_vgsot_divider", "sweep_margins",
     "switch_decision", "trial_rng", "truth_table", "write_cell",
     "__version__",
 ]

@@ -20,15 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .array import ArraySpec, MramArray, Topology
-from .device import (ConfigError, DeviceParams, critical_sot_current,
-                     dump_device_params, load_device_params, mtj_area)
-from .gates import (Calibration, GateKind, GateOp, InseparableError,
+from .device import (ConfigError, DeviceParams, dump_device_params,
+                     load_device_params)
+from .gates import (WINDOW, Calibration, GateKind, GateOp, InseparableError,
                     calibrate_gate, execute_gate, input_columns,
-                    margin_analysis, margin_windows, parse_gate_ops,
-                    pattern_label, truth_table)
+                    margin_analysis, parse_gate_ops, pattern_label,
+                    sweep_margins, truth_table)
 from .report import Table, config_digest, emit_csv, emit_json, make_bundle
-from .variation import (BLOCK, RNG_STREAM, VARIED, CellArrays, VariationSpec,
-                        mc_tables, run_mc)
+from .variation import RNG_STREAM, VARIED, VariationSpec, mc_tables, run_mc
 
 EXIT_OK = 0
 EXIT_LOGIC = 1
@@ -237,10 +236,10 @@ def _calibration_meta(cal: Calibration | None, op: GateOp) -> dict:
 def cmd_gate(args) -> int:
     params = _resolve_params(args)
     topology = Topology.parse(args.topology)
-    ops_text = Path(args.ops).read_text()
-    ops = parse_gate_ops(ops_text, topology)
+    ops = parse_gate_ops(Path(args.ops).read_text(encoding="utf-8"), topology)
     if args.array:
-        array = MramArray.from_csv(Path(args.array).read_text(), params)
+        array = MramArray.from_csv(
+            Path(args.array).read_text(encoding="utf-8"), params)
         if array.spec.topology is not topology:
             raise ConfigError("array CSV topology disagrees with --topology")
     else:
@@ -261,7 +260,7 @@ def cmd_gate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     state_path = out_dir / "gate_state.csv"
-    state_path.write_text(array.to_csv())
+    state_path.write_bytes(array.to_csv().encode())
 
     columns = ("op", "kind", "col", "in_rows", "out_row", "switched", "out_bit",
                "energy_j", "disturb_ok")
@@ -323,12 +322,10 @@ def cmd_margin(args) -> int:
                                   "max_input_current"),
                      ([pattern_label(bits) for bits in report.bits],
                       report.must_switch, report.metric,
-                      report.v_bl or [""] * len(report.bits),
-                      report.max_input_current))
-    summary = Table("summary",
-                    ("lo", "hi", "margin", "relative_margin"),
-                    ((report.lo,), (report.hi,), (report.margin,),
-                     (report.relative_margin,)))
+                      [""] * report.must_switch.size if report.v_bl is None
+                      else report.v_bl, report.max_input_current))
+    summary = Table("summary", WINDOW, tuple(
+        np.atleast_1d(getattr(report, name)) for name in WINDOW))
     bundle = make_bundle(_meta(args, spec), tables=[patterns, summary])
     paths = _emit(args, bundle, "margin")
     print(f"margin {kind.value} x{args.inputs} [{spec.topology.value}]: "
@@ -378,46 +375,14 @@ def cmd_sweep(args) -> int:
         values = np.linspace(args.lo, args.hi, args.points)
     if not np.isfinite(values).all():
         raise OverflowError("--max - --min is not finite")
-    # Every value is checked before any solve: each field rule (finite,
-    # > 0, >= 0, <= 1) holds on an interval, and linspace stays between
-    # its ends, so the two ends decide.
-    for value in values[[0, -1]].tolist():
-        spec.nominal.replace(**{args.axis: value})
-
-    lo, hi, max_input = np.empty((3, args.points))
-    step = max(1, BLOCK >> args.inputs)  # points x patterns <= BLOCK
-    for start in range(0, args.points, step):
-        part = slice(start, start + step)
-        # Slices broadcast the scalar windows of an axis the network ignores.
-        *_, max_in, lo[part], hi[part] = margin_windows(
-            spec, kind, args.inputs, op,
-            CellArrays(spec.nominal, **{args.axis: values[part, None]}))
-        max_input[part] = max_in.max(-1)
-    column = CellArrays(spec.nominal, **{args.axis: values})
-    # Python floats overflow to inf without a warning; so do these columns.
-    with np.errstate(all="ignore"):
-        margin = hi - lo
-        midpoint = 0.5 * (lo + hi)
-        relative_margin = np.where(midpoint > 0.0, margin / midpoint, 0.0)
-        i_dev = np.broadcast_to(critical_sot_current(column, 0.0), lo.shape)
-        density = max_input / mtj_area(column)
-    if not np.isfinite(density).all():  # e.g. an MTJ area that underflows
-        raise OverflowError("worst_input_density is not finite")
-    feasible = margin > 0.0
-    if spec.topology is Topology.TWO_T_ONE_R:
-        # Feasible when the weakest must-switch current still exceeds the
-        # device threshold at the configured calibration.
-        feasible &= hi >= i_dev
-    data = (values, lo, hi, margin, relative_margin, i_dev, density,
-            density < column.J_stt_crit, feasible)
-    flips = np.flatnonzero(feasible[1:] != feasible[:-1]).tolist()
+    columns = sweep_margins(spec, kind, args.inputs, args.axis, values, op)
+    flips = np.flatnonzero(np.diff(columns["feasible"])).tolist()
     boundary = (f"{values[flips[0]]:g}..{values[flips[0] + 1]:g}" if flips
                 else "none")
-    columns = (args.axis, "lo", "hi", "margin", "relative_margin",
-               "i_crit_device", "worst_input_density", "disturb_ok", "feasible")
     bundle = make_bundle(_meta(args, spec, {"axis": args.axis,
                                             "boundary": boundary}),
-                         tables=[Table("sweep", columns, data)])
+                         tables=[Table("sweep", tuple(columns),
+                                       tuple(columns.values()))])
     paths = _emit(args, bundle, "sweep")
     print(f"sweep {args.axis} in [{args.lo}, {args.hi}] x{args.points} "
           f"[{spec.topology.value} {kind.value}]: boundary={boundary} "

@@ -5,6 +5,7 @@ resistance from the resistance-area product, heavy-metal channel resistance
 from geometry, and a perpendicular-macrospin switching threshold with
 voltage-controlled magnetic anisotropy (VCMA) assist. No time-domain
 magnetization dynamics are modeled; switching is a threshold decision.
+A ``CellArrays`` (some fields as arrays) runs every formula elementwise.
 """
 
 from __future__ import annotations
@@ -123,6 +124,19 @@ class DeviceParams:
 _FIELDS = tuple(f.name for f in dataclasses.fields(DeviceParams))
 
 
+class CellArrays:
+    """One cell's DeviceParams with the given fields held as arrays (the
+    trials of an MC block, or sweep points); every other attribute reads
+    through to ``nominal``. Accepted wherever DeviceParams is."""
+
+    def __init__(self, nominal: DeviceParams, **varied):
+        self.nominal = nominal
+        self.__dict__.update(varied)
+
+    def __getattr__(self, name):
+        return getattr(self.nominal, name)
+
+
 def mtj_area(p: DeviceParams) -> float:
     """Junction surface area pi D^2 / 4 in m^2."""
     return math.pi * p.D * p.D / 4.0
@@ -203,7 +217,7 @@ def load_device_params(source: "str | Path | Mapping",
     """
     if isinstance(source, (str, Path)):
         try:
-            mapping = json.loads(Path(source).read_text())
+            mapping = json.loads(Path(source).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -4,7 +4,7 @@ A gate is a conditional write: the output cell is initialized, the input
 cells configure a resistive network, and the output switches only when the
 resulting drive crosses its switching threshold. NOR/NAND initialize the
 output to P ('1') and switch P->AP; OR/AND initialize to AP and reverse the
-drive polarity.
+drive polarity. Margins, calibration and sweeps share one window solve.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 
 from .array import (ArraySpec, CellState, MramArray, Topology,
                     solve_2t1r_read, solve_vgsot_divider, write_cell)
-from .device import (ConfigError, MagState, Polarity, channel_resistance,
-                     check_read_disturb, critical_sot_current,
-                     switch_decision)
+from .device import (CellArrays, ConfigError, MagState, Polarity,
+                     channel_resistance, check_read_disturb,
+                     critical_sot_current, mtj_area, switch_decision)
 
 # Default operating points.
 V_DRIVE_2T1R = 1.1      # read bit-line drive [V]
@@ -310,7 +310,11 @@ def truth_table(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
     return TruthTable(rows)
 
 
-# --- margins and calibration ---------------------------------------------------
+# --- margins, sweeps and calibration -------------------------------------------
+
+_SWEEP_CHUNK = 4096  # sweep points x input patterns per solve
+WINDOW = ("lo", "hi", "margin", "relative_margin")  # report columns
+
 
 @dataclass(frozen=True)
 class MarginReport:
@@ -321,39 +325,46 @@ class MarginReport:
     (max must-switch I_c, min no-switch I_c). ``margin`` = hi - lo; a
     nonpositive margin means no threshold realizes the truth table.
 
-    The per-pattern values are columns in pattern-index order: the input
-    bits, whether the output must switch, the metric (|I_out| in 2T-1R,
-    effective I_c in VGSOT), the bit-line voltage (None in 2T-1R) and the
-    largest input MTJ current.
+    The solve's arrays, pattern index last: must the output switch, the
+    metric (|I_out| in 2T-1R, effective I_c in VGSOT), the bit-line voltage
+    (None in 2T-1R) and the largest input MTJ current. A drive or parameter
+    column adds a leading axis to them and to the (elementwise) window.
     """
 
-    v_drive: float
-    lo: float
-    hi: float
-    bits: list
-    must_switch: list
-    metric: list
-    v_bl: list | None
-    max_input_current: list
+    v_drive: float  # or the column of drives solved
+    lo: np.ndarray
+    hi: np.ndarray
+    n_inputs: int
+    must_switch: np.ndarray
+    metric: np.ndarray
+    v_bl: np.ndarray | None
+    max_input_current: np.ndarray
 
     @property
-    def margin(self) -> float:
+    def bits(self) -> list:  # each pattern's input bits, by pattern index
+        return _patterns(self.n_inputs)
+
+    @property
+    def margin(self):
         return self.hi - self.lo
 
     @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+    def midpoint(self):
+        with np.errstate(over="ignore"):  # to inf, as Python floats do
+            return 0.5 * (self.lo + self.hi)
 
     @property
-    def relative_margin(self) -> float:
-        return self.margin / self.midpoint if self.midpoint > 0.0 else 0.0
+    def relative_margin(self):
+        midpoint = self.midpoint
+        with np.errstate(all="ignore"):  # 0 where the midpoint is <= 0
+            return np.where(midpoint > 0.0, self.margin / midpoint, 0.0)[()]
 
 
-def margin_windows(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
-                   op: GateOp | None, dev=None, v_drive=None):
-    """One :func:`_solve_patterns` solve as margin arrays: the op, the
-    must-switch mask, metric, first observable and largest input current
-    per pattern (last axis), and the window (lo, hi) over the patterns."""
+def margin_analysis(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
+                    op: GateOp | None = None, dev=None,
+                    v_drive=None) -> MarginReport:
+    """The separating window and per-pattern analog observables of one
+    :func:`_solve_patterns` solve."""
     op, (sol, first, i_crit, _) = _solve_patterns(array_spec, kind, n_inputs,
                                                   op, dev, v_drive)
     read_current = array_spec.topology is Topology.TWO_T_ONE_R
@@ -365,19 +376,46 @@ def margin_windows(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
         else (switch.max(-1), hold.min(-1))
     max_input = np.max([abs(sol.current(f"in{k}")) for k in range(n_inputs)],
                        axis=0)
-    return op, must, metric, first, max_input, lo, hi
+    return MarginReport(op.v_drive if v_drive is None else v_drive, lo, hi,
+                        n_inputs, must, metric, None if read_current else first,
+                        max_input)
 
 
-def margin_analysis(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
-                    op: GateOp | None = None) -> MarginReport:
-    """Compute the separating window and per-pattern analog observables."""
-    op, must, metric, first, max_input, lo, hi = margin_windows(
-        array_spec, kind, n_inputs, op)
-    v_bl = None if array_spec.topology is Topology.TWO_T_ONE_R \
-        else first.tolist()
-    return MarginReport(op.v_drive, lo.item(), hi.item(), _patterns(n_inputs),
-                        must.tolist(), metric.tolist(), v_bl,
-                        max_input.tolist())
+def sweep_margins(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
+                  axis: str, values: np.ndarray,
+                  op: GateOp | None = None) -> dict:
+    """The ``sweep`` report's columns (name -> array, in report order) at
+    each value of device parameter ``axis``. A point is feasible when its
+    window is open and, in 2T-1R, its weakest must-switch current reaches
+    the device threshold; it is disturb-free while its worst input
+    current density stays below ``J_stt_crit``."""
+    # Each field rule (finite, > 0, >= 0, <= 1) holds on an interval, so
+    # the ends, then the extremes, check every value before any solve.
+    for value in (values[0], values[-1], values.min(), values.max()):
+        array_spec.nominal.replace(**{axis: float(value)})
+    columns = {axis: values, **{n: np.empty(values.size) for n in WINDOW}}
+    worst = np.empty(values.size)
+    step = max(1, _SWEEP_CHUNK >> n_inputs)
+    for start in range(0, values.size, step):
+        part = slice(start, start + step)
+        report = margin_analysis(array_spec, kind, n_inputs, op, CellArrays(
+            array_spec.nominal, **{axis: values[part, None]}))
+        # Slices broadcast the scalar windows of an axis the network ignores.
+        for name in WINDOW:
+            columns[name][part] = getattr(report, name)
+        worst[part] = report.max_input_current.max(-1)
+    cell = CellArrays(array_spec.nominal, **{axis: values})
+    # Python floats overflow to inf without a warning; so do these columns.
+    with np.errstate(all="ignore"):
+        i_dev = np.broadcast_to(critical_sot_current(cell, 0.0), values.shape)
+        density = worst / mtj_area(cell)
+    if not np.isfinite(density).all():  # e.g. an MTJ area that underflows
+        raise OverflowError("worst_input_density is not finite")
+    feasible = columns["margin"] > 0.0
+    if array_spec.topology is Topology.TWO_T_ONE_R:
+        feasible &= columns["hi"] >= i_dev
+    return {**columns, "i_crit_device": i_dev, "worst_input_density": density,
+            "disturb_ok": density < cell.J_stt_crit, "feasible": feasible}
 
 
 @dataclass(frozen=True)
@@ -438,14 +476,14 @@ def calibrate_gate(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
     read_current = array_spec.topology is Topology.TWO_T_ONE_R
     drives = base_op.v_drive * np.array([1.0] if read_current
                                         else _V_SCAN_SCALES)
-    *_, lo, hi = margin_windows(array_spec, kind, n_inputs, base_op,
-                                v_drive=drives[:, None])
-    margins = hi - lo
+    report = margin_analysis(array_spec, kind, n_inputs, base_op,
+                             v_drive=drives[:, None])
+    margins = report.margin
     # Keep the base drive when it separates, else the first widest window.
     k = 0 if margins[0] > 0.0 else int(np.argmax(margins))
-    lo, hi, separates = lo[k].item(), hi[k].item(), margins[k] > 0.0
+    lo, hi = report.lo[k].item(), report.hi[k].item()
     base_ic = critical_sot_current(array_spec.nominal.replace(Ic_cal=1.0), 0.0)
-    if not separates and (read_current or base_ic != 0.0):
+    if hi <= lo and (read_current or base_ic != 0.0):
         raise InseparableError(f"{kind.value} with {n_inputs} inputs: " + (
             f"no switching threshold separates the input cases (max hold "
             f"current {lo:.4e} A >= min switch current {hi:.4e} A); check "
@@ -455,7 +493,7 @@ def calibrate_gate(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
             f"the VCMA coefficient"))
     # A barrier gone at 0 V can return under bias (beta * v < 0), so the
     # voltage-gated scheme names it only when no drive separates.
-    if base_ic == 0.0 and (read_current or not separates):
+    if base_ic == 0.0 and (read_current or hi <= lo):
         knob = "Ic_cal" if read_current else "write current"
         raise ConfigError(f"Ki0={array_spec.nominal.Ki0:g} leaves no zero-bias "
                           f"barrier (K_eff <= 0), so no {knob} can place the "

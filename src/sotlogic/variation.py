@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array import ArraySpec, Topology
-from .device import DeviceParams
+from .device import CellArrays, DeviceParams
 from .gates import (OBSERVABLES, GateOp, boolean_output, check_op_fits,
                     input_columns, pattern_bits, pattern_label, solve_pattern)
 from .report import HistogramTable, Table
@@ -121,23 +121,6 @@ def sample_cell(nominal: DeviceParams, spec: VariationSpec,
     return nominal.replace(**{
         field: getattr(nominal, field) * (1.0 + sigma * dz)
         for (field, sigma), dz in zip(spec.drawn, z)})
-
-
-class CellArrays:
-    """One cell's device parameters with some fields held as arrays.
-
-    Each given field is an array: one entry per trial of a block, or a
-    column of sweep points. Every other attribute reads through to the
-    shared nominal DeviceParams. The closed forms of :mod:`.device` and
-    :mod:`.array` accept it wherever they take DeviceParams.
-    """
-
-    def __init__(self, nominal: DeviceParams, **varied):
-        self.nominal = nominal
-        self.__dict__.update(varied)
-
-    def __getattr__(self, name):
-        return getattr(self.nominal, name)
 
 
 def sample_block(nominal: DeviceParams, spec: VariationSpec,

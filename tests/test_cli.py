@@ -331,7 +331,7 @@ def test_sweep_end_check_agrees_with_checking_every_value(axis, lo, hi,
     except ConfigError as exc:
         expected = f"error: {exc}\n"
     err = io.StringIO()
-    with mock.patch.object(cli, "margin_windows", side_effect=_Checked), \
+    with mock.patch.object(gates, "margin_analysis", side_effect=_Checked), \
             contextlib.redirect_stderr(err):
         try:
             code = main(["sweep", "--axis", axis, f"--min={lo!r}",

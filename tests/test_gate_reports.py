@@ -9,10 +9,15 @@ recipe.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+from sotlogic import cli
 from sotlogic.cli import main
 
 RECIPES = {
@@ -130,3 +135,37 @@ def test_gate_reports_match_recorded_digests(tmp_path, case):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted((tmp_path / "o").iterdir())}
     assert digests == DIGESTS[case]
+
+
+def _run_under_an_ascii_locale(argv):
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0", PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "sotlogic.cli", *argv],
+                          env=env, timeout=60, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gate_files_alike_under_an_ascii_locale(tmp_path, fmt):
+    # The recipe, grid and config are read as UTF-8, and every file is
+    # written as UTF-8 with LF endings, whatever the locale's encoding.
+    (tmp_path / "ops.txt").write_text("# caf\u00e9\n" + RECIPES["array"],
+                                      encoding="utf-8")
+    (tmp_path / "grid.csv").write_text(GRID.format(topology="2t1r"))
+    (tmp_path / "dev.json").write_text('{"R_on": 900.0}')
+    argv = ["gate", "--ops", str(tmp_path / "ops.txt"), "--array",
+            str(tmp_path / "grid.csv"), "--config", str(tmp_path / "dev.json"),
+            "--ic-cal", "1.78", "--format", fmt, "--out"]
+    assert main(argv + [str(tmp_path / "utf8")]) == 0
+    proc = _run_under_an_ascii_locale(argv + [str(tmp_path / "c")])
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in (tmp_path / "utf8").iterdir())
+    assert sorted(p.name for p in (tmp_path / "c").iterdir()) == names
+    for name in names:
+        data = (tmp_path / "c" / name).read_bytes()
+        assert data == (tmp_path / "utf8" / name).read_bytes(), name
+        assert b"\r\n" not in data
+    # A config key outside ASCII is named as unknown, not undecodable.
+    (tmp_path / "dev.json").write_text('{"caf\u00e9": 1.0}', encoding="utf-8")
+    proc = _run_under_an_ascii_locale(argv + [str(tmp_path / "k")])
+    assert proc.returncode == 2
+    assert "unknown device parameter key" in proc.stderr

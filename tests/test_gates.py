@@ -10,8 +10,10 @@ from sotlogic import (ArraySpec, DeviceParams, GateConfigError, GateKind,
                       GateOp, InseparableError, MagState, MramArray, Topology,
                       boolean_output, calibrate_gate, execute_gate,
                       margin_analysis, truth_table, write_cell)
+from sotlogic import gates
+from sotlogic.device import CellArrays, ConfigError
 from sotlogic.gates import (PULSE_DEFAULT, parse_gate_ops, pattern_bits,
-                            pattern_label, solve_pattern)
+                            pattern_label, solve_pattern, sweep_margins)
 
 P2 = DeviceParams.default_2t1r()
 PV = DeviceParams.default_vgsot()
@@ -213,9 +215,47 @@ def test_margin_points_cover_all_patterns():
     # One value per pattern in every column, in pattern-index order.
     report = margin_analysis(spec_for(Topology.VGSOT, 2), GateKind.NOR, 2)
     assert [pattern_label(b) for b in report.bits] == ["00", "01", "10", "11"]
-    assert report.must_switch == [False, True, True, True]
+    assert report.must_switch.tolist() == [False, True, True, True]
     for column in (report.metric, report.v_bl, report.max_input_current):
-        assert len(column) == 4 and all(type(x) is float for x in column)
+        assert column.shape == (4,) and column.dtype == np.float64
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind, axis", [(GateKind.NOR, "RA"),
+                                        (GateKind.AND, "t_ox"),
+                                        (GateKind.OR, "Ic_cal")])
+def test_margin_analysis_over_a_column_equals_one_per_point(topology, n,
+                                                            kind, axis):
+    # One solve over a parameter column keeps its leading axis in every
+    # field, or broadcasts along it: the 2T-1R network ignores Ic_cal, so
+    # its windows there are one value for the whole column.
+    spec = spec_for(topology, n)
+    op = GateOp.for_kind(kind, topology, n_inputs=n)
+    values = (getattr(spec.nominal, axis) * np.array([0.5, 1.0, 1.7])).tolist()
+    report = margin_analysis(spec, kind, n, op, CellArrays(
+        spec.nominal, **{axis: np.array(values)[:, None]}))
+    for k, value in enumerate(values):
+        point = margin_analysis(spec_for(topology, n, spec.nominal.replace(
+            **{axis: value})), kind, n, op)
+        for name in ("lo", "hi", "relative_margin", "must_switch", "metric",
+                     "v_bl", "max_input_current"):
+            expected = getattr(point, name)
+            if expected is None:  # the bit-line voltage in 2T-1R
+                assert getattr(report, name) is None
+                continue
+            column = np.broadcast_to(getattr(report, name),
+                                     (len(values),) + np.shape(expected))
+            assert column[k].tolist() == np.asarray(expected).tolist(), \
+                (name, value)
+
+
+def test_sweep_checks_every_value_of_an_unordered_column(monkeypatch):
+    # The ends pass; the check still finds the middle value before a solve.
+    monkeypatch.setattr(gates, "margin_analysis", None)
+    with pytest.raises(ConfigError, match="R_on must be >= 0"):
+        sweep_margins(spec_for(Topology.TWO_T_ONE_R, 2), GateKind.NOR, 2,
+                      "R_on", np.array([1000.0, -1.0, 2000.0]))
 
 
 # --- calibration ------------------------------------------------------------------------

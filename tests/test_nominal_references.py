@@ -74,4 +74,4 @@ def test_tracer_finds_every_traced_layer():
     bound = {(ns.__name__.split(".")[-1], func)
              for ns, func, _, _ in tracer._bindings}
     assert set(tracing.LAYERS.values()) <= bound  # its defining module
-    assert len(tracer._bindings) == 30
+    assert len(tracer._bindings) == 29
