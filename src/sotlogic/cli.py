@@ -2,7 +2,8 @@
 
 Subcommands: ``truth-table``, ``gate``, ``mc``, ``margin``, ``calibrate``,
 ``sweep``. Flags override config-file values; the device parameter file
-defaults to the $SOTLOGIC_CONFIG environment variable when set.
+defaults to the $SOTLOGIC_CONFIG environment variable when set. Each
+subcommand ends in one :func:`_report` call, which writes its report.
 
 Exit codes: 0 success, 1 logic-verification failure, 2 configuration error.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from .array import ArraySpec, MramArray, Topology
 from .device import (ConfigError, DeviceParams, dump_device_params,
                      load_device_params)
-from .gates import (WINDOW, Calibration, GateKind, GateOp, InseparableError,
+from .gates import (MAX_INPUTS, WINDOW, GateKind, GateOp, InseparableError,
                     calibrate_gate, execute_gate, input_columns,
                     margin_analysis, parse_gate_ops, pattern_label,
                     sweep_margins, truth_table)
@@ -35,14 +36,11 @@ EXIT_CONFIG = 2
 
 CONFIG_ENV = "SOTLOGIC_CONFIG"
 
-# Fan-in limit: a gate with n inputs is evaluated over all 2^n input
-# patterns, so --inputs is bounded before anything is allocated.
-MAX_INPUTS = 8
-# Size limits, checked before anything is allocated: a sweep solves and
-# reports one row per point, a histogram one row per bin, and an MC
-# campaign keeps every trial of every pattern (trials x 2^inputs). The
-# cells of a gate array (--rows x --cols, or an array CSV header) are
-# bounded by ``array.MAX_CELLS``.
+# Size limits, checked before anything is allocated (as is the fan-in
+# limit, ``gates.MAX_INPUTS``): a sweep solves and reports one row per
+# point, a histogram one row per bin, and an MC campaign keeps every trial
+# of every pattern (trials x 2^inputs). The cells of a gate array (--rows x
+# --cols, or an array CSV header) are bounded by ``array.MAX_CELLS``.
 MAX_POINTS = 2 ** 16
 MAX_BINS = 2 ** 16
 MAX_TRIALS = 2 ** 24
@@ -139,15 +137,17 @@ def _resolve_params(args) -> DeviceParams:
     return params.replace(**overrides) if overrides else params
 
 
-def _resolve_spec(args) -> ArraySpec:
+def _resolve_spec(args) -> tuple[ArraySpec, GateKind]:
+    """The single-column array of the flags, sized for --inputs, and the
+    gate kind."""
     topology = Topology.parse(args.topology)
     if args.inputs < 1:
         raise ConfigError("--inputs must be >= 1")
     if args.inputs > MAX_INPUTS:
         raise ConfigError(f"--inputs must be <= {MAX_INPUTS} (fan-in limit)")
     rows = max(3, args.inputs + 1)
-    return ArraySpec(topology=topology, rows=rows, cols=1,
-                     nominal=_resolve_params(args))
+    return (ArraySpec(topology=topology, rows=rows, cols=1,
+                      nominal=_resolve_params(args)), GateKind.parse(args.gate))
 
 
 def _op(args, spec: ArraySpec, kind: GateKind) -> GateOp:
@@ -159,87 +159,81 @@ def _op(args, spec: ArraySpec, kind: GateKind) -> GateOp:
 
 
 def _calibrated_setup(args, spec: ArraySpec, kind: GateKind):
-    """Return (spec, op, calibration-or-None) honoring explicit overrides.
+    """Return (spec, op, meta) honoring explicit overrides.
 
     An explicit --ic-cal (read-current) or --i-sot (voltage-gated) skips
     auto-calibration; otherwise the operating point comes from
-    calibrate_gate at --margin-fraction.
+    calibrate_gate at --margin-fraction. ``meta`` is the report metadata of
+    the op and, when calibrated, of the calibration.
     """
     explicit = args.ic_cal is not None if spec.topology is Topology.TWO_T_ONE_R \
         else args.i_sot is not None
     if explicit:
-        return spec, _op(args, spec, kind), None
-    cal = calibrate_gate(spec, kind, args.inputs,
-                         margin_fraction=args.margin_fraction,
-                         v_drive=args.v_drive)
-    cal_spec, cal_op = cal.apply(spec)
-    if args.pulse is not None:
-        cal_op = dataclasses.replace(cal_op, pulse=args.pulse)
-    return cal_spec, cal_op, cal
+        op, meta = _op(args, spec, kind), {}
+    else:
+        cal = calibrate_gate(spec, kind, args.inputs,
+                             margin_fraction=args.margin_fraction,
+                             v_drive=args.v_drive)
+        spec, op = cal.apply(spec)
+        if args.pulse is not None:
+            op = dataclasses.replace(op, pulse=args.pulse)
+        meta = {"margin_fraction": cal.margin_fraction,
+                "operating_point": cal.operating_point}
+        if cal.ic_cal is not None:
+            meta["ic_cal"] = cal.ic_cal
+    return spec, op, {"v_drive": op.v_drive, "i_sot": op.i_sot,
+                      "pulse": op.pulse, **meta}
 
 
-def _meta(args, spec: ArraySpec, extra=None) -> dict:
-    shared = {
-        "command": args.command,
-        "topology": spec.topology.value,
-        "gate": args.gate,
-        "inputs": args.inputs,
-        "seed": args.seed,
-    }
-    extra = extra or {}
-    resolved = {**shared, "device": dump_device_params(spec.nominal), **extra}
-    return {**shared, "config_digest": config_digest(resolved), **extra}
+def _report(args, spec: ArraySpec, name: str, tables, histograms=(),
+            extra=None) -> Path:
+    """Write the command's report in --format and return its first file.
 
-
-def _emit(args, bundle, default_name: str):
+    The metadata holds the shared flags, ``extra`` and the digest of both
+    with the resolved device of ``spec``.
+    """
+    meta = {"command": args.command, "topology": spec.topology.value,
+            "gate": args.gate, "inputs": args.inputs, "seed": args.seed,
+            **(extra or {})}
+    digest = config_digest({**meta, "device": dump_device_params(spec.nominal)})
+    bundle = make_bundle({**meta, "config_digest": digest}, tables, histograms)
     if args.format == "json":
-        path = Path(args.out) / f"{default_name}_report.json"
+        path = Path(args.out) / f"{name}_report.json"
         emit_json(bundle, path)
-        return [path]
-    return emit_csv(bundle, args.out, default_name)
+        return path
+    return emit_csv(bundle, args.out, name)[0]
 
 
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_truth_table(args) -> int:
-    spec = _resolve_spec(args)
-    kind = GateKind.parse(args.gate)
-    spec, op, cal = _calibrated_setup(args, spec, kind)
+    spec, kind = _resolve_spec(args)
+    spec, op, meta = _calibrated_setup(args, spec, kind)
     table = truth_table(spec, kind, args.inputs, op=op)
 
     obs_names = sorted(table.rows[0].observables)
     columns = input_columns(args.inputs) + ["OUT_expected", "OUT"] + obs_names
     rows = [tuple(reversed(r.bits)) + (r.expected, r.actual) +
             tuple(r.observables[n] for n in obs_names) for r in table.rows]
-    extra = _calibration_meta(cal, op)
-    bundle = make_bundle(_meta(args, spec, extra), tables=[
-        Table("table", tuple(columns), tuple(zip(*rows)))])
-    paths = _emit(args, bundle, "truth_table")
+    path = _report(args, spec, "truth_table",
+                   [Table("table", tuple(columns), tuple(zip(*rows)))],
+                   extra=meta)
     ok = table.matches
     print(f"truth-table {kind.value} x{args.inputs} [{spec.topology.value}]: "
-          f"{'OK' if ok else 'MISMATCH'} -> {paths[0]}")
+          f"{'OK' if ok else 'MISMATCH'} -> {path}")
     for r in table.rows:
         print(f"  {r.label} expected={r.expected} got={r.actual}")
     return EXIT_OK if ok else EXIT_LOGIC
 
 
-def _calibration_meta(cal: Calibration | None, op: GateOp) -> dict:
-    extra = {"v_drive": op.v_drive, "i_sot": op.i_sot, "pulse": op.pulse}
-    if cal is not None:
-        extra["margin_fraction"] = cal.margin_fraction
-        extra["operating_point"] = cal.operating_point
-        if cal.ic_cal is not None:
-            extra["ic_cal"] = cal.ic_cal
-    return extra
-
-
 def cmd_gate(args) -> int:
     params = _resolve_params(args)
     topology = Topology.parse(args.topology)
-    ops = parse_gate_ops(Path(args.ops).read_text(encoding="utf-8"), topology)
+    ops = parse_gate_ops(Path(args.ops).read_text(encoding="utf-8-sig"),
+                         topology)
     if args.array:
         array = MramArray.from_csv(
-            Path(args.array).read_text(encoding="utf-8"), params)
+            Path(args.array).read_text(encoding="utf-8-sig"), params)
         if array.spec.topology is not topology:
             raise ConfigError("array CSV topology disagrees with --topology")
     else:
@@ -265,10 +259,8 @@ def cmd_gate(args) -> int:
     columns = ("op", "kind", "col", "in_rows", "out_row", "switched", "out_bit",
                "energy_j", "disturb_ok")
     data = tuple(zip(*rows)) or ((),) * len(columns)  # a recipe may be empty
-    bundle = make_bundle(_meta(args, array.spec),
-                         tables=[Table("traces", columns, data)])
-    paths = _emit(args, bundle, "gate")
-    print(f"gate: executed {len(ops)} ops -> {state_path}, {paths[0]}")
+    path = _report(args, array.spec, "gate", [Table("traces", columns, data)])
+    print(f"gate: executed {len(ops)} ops -> {state_path}, {path}")
     return EXIT_OK
 
 
@@ -286,35 +278,29 @@ def cmd_mc(args) -> int:
     if args.bins > MAX_BINS:
         raise ConfigError(f"--bins must be <= {MAX_BINS}")
     vspec = _variation_from_args(args)
-    spec = _resolve_spec(args)
+    spec, kind = _resolve_spec(args)
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     if args.trials * 2 ** args.inputs > MAX_TRIALS:
         raise ConfigError(f"--trials x 2^inputs must be <= {MAX_TRIALS}, got "
                           f"{args.trials} x {2 ** args.inputs}")
-    kind = GateKind.parse(args.gate)
-    spec, op, cal = _calibrated_setup(args, spec, kind)
+    spec, op, meta = _calibrated_setup(args, spec, kind)
     result = run_mc(spec, op, args.trials, vspec)
 
     summary, trials, histogram, hist = mc_tables(result, args.bins)
-    extra = _calibration_meta(cal, op)
-    extra["trials"] = args.trials
-    extra["rng_stream"] = RNG_STREAM
-    extra["overlap_fraction"] = hist.overlap_fraction
-    bundle = make_bundle(_meta(args, spec, extra),
-                         tables=[summary, trials], histograms=[histogram])
-    paths = _emit(args, bundle, "mc")
+    path = _report(args, spec, "mc", [summary, trials], [histogram], extra={
+        **meta, "trials": args.trials, "rng_stream": RNG_STREAM,
+        "overlap_fraction": hist.overlap_fraction})
     print(f"mc {kind.value} x{args.inputs} [{spec.topology.value}] "
           f"n={args.trials} seed={vspec.seed}:")
     for p in result.patterns:
         print(f"  {p.label} -> {p.expected}: {100 * p.success_rate:.1f}%")
-    print(f"  overlap_fraction={hist.overlap_fraction:.4f} -> {paths[0]}")
+    print(f"  overlap_fraction={hist.overlap_fraction:.4f} -> {path}")
     return EXIT_OK
 
 
 def cmd_margin(args) -> int:
-    spec = _resolve_spec(args)
-    kind = GateKind.parse(args.gate)
+    spec, kind = _resolve_spec(args)
     op = _op(args, spec, kind)
     report = margin_analysis(spec, kind, args.inputs, op=op)
 
@@ -326,17 +312,15 @@ def cmd_margin(args) -> int:
                       else report.v_bl, report.max_input_current))
     summary = Table("summary", WINDOW, tuple(
         np.atleast_1d(getattr(report, name)) for name in WINDOW))
-    bundle = make_bundle(_meta(args, spec), tables=[patterns, summary])
-    paths = _emit(args, bundle, "margin")
+    path = _report(args, spec, "margin", [patterns, summary])
     print(f"margin {kind.value} x{args.inputs} [{spec.topology.value}]: "
           f"{report.margin:.4e} (relative {report.relative_margin:.3f}) "
-          f"-> {paths[0]}")
+          f"-> {path}")
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    spec = _resolve_spec(args)
-    kind = GateKind.parse(args.gate)
+    spec, kind = _resolve_spec(args)
     cal = calibrate_gate(spec, kind, args.inputs,
                          margin_fraction=args.margin_fraction,
                          v_drive=args.v_drive)
@@ -346,13 +330,12 @@ def cmd_calibrate(args) -> int:
            cal.margin_fraction, cal.lo, cal.hi, cal.operating_point,
            cal.ic_cal if cal.ic_cal is not None else "", cal.i_sot,
            cal.v_drive)
-    bundle = make_bundle(_meta(args, spec), tables=[
-        Table("calibration", columns, tuple(zip(row)))])
-    paths = _emit(args, bundle, "calibrate")
+    path = _report(args, spec, "calibrate",
+                   [Table("calibration", columns, tuple(zip(row)))])
     knob = f"Ic_cal={cal.ic_cal:.4f}" if cal.ic_cal is not None \
         else f"i_sot={cal.i_sot:.4e} A"
     print(f"calibrate {kind.value} x{args.inputs} [{spec.topology.value}]: "
-          f"{knob}, v_drive={cal.v_drive} V -> {paths[0]}")
+          f"{knob}, v_drive={cal.v_drive} V -> {path}")
     return EXIT_OK
 
 
@@ -367,8 +350,7 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--min", args.lo), ("--max", args.hi)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
-    spec = _resolve_spec(args)
-    kind = GateKind.parse(args.gate)
+    spec, kind = _resolve_spec(args)
     op = _op(args, spec, kind)
     # A span past the largest float gives nan values, raised below.
     with np.errstate(all="ignore"):
@@ -379,14 +361,12 @@ def cmd_sweep(args) -> int:
     flips = np.flatnonzero(np.diff(columns["feasible"])).tolist()
     boundary = (f"{values[flips[0]]:g}..{values[flips[0] + 1]:g}" if flips
                 else "none")
-    bundle = make_bundle(_meta(args, spec, {"axis": args.axis,
-                                            "boundary": boundary}),
-                         tables=[Table("sweep", tuple(columns),
-                                       tuple(columns.values()))])
-    paths = _emit(args, bundle, "sweep")
+    path = _report(args, spec, "sweep",
+                   [Table("sweep", tuple(columns), tuple(columns.values()))],
+                   extra={"axis": args.axis, "boundary": boundary})
     print(f"sweep {args.axis} in [{args.lo}, {args.hi}] x{args.points} "
           f"[{spec.topology.value} {kind.value}]: boundary={boundary} "
-          f"-> {paths[0]}")
+          f"-> {path}")
     return EXIT_OK
 
 

@@ -217,7 +217,7 @@ def load_device_params(source: "str | Path | Mapping",
     """
     if isinstance(source, (str, Path)):
         try:
-            mapping = json.loads(Path(source).read_text(encoding="utf-8"))
+            mapping = json.loads(Path(source).read_text(encoding="utf-8-sig"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:

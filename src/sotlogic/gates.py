@@ -29,6 +29,10 @@ V_DRIVE_VGSOT = 1.5     # input write-line drive [V]
 I_SOT_DEFAULT = 60e-6   # output write current for the voltage-gated scheme [A]
 PULSE_DEFAULT = 2e-9    # operation pulse width [s]
 
+# Fan-in limit: a gate with n inputs is evaluated over all 2^n input
+# patterns, so the input count is bounded before anything is allocated.
+MAX_INPUTS = 8
+
 # Analog observables per topology: the network's output (channel current or
 # bit-line voltage), then the output cell's switching threshold.
 OBSERVABLES = {Topology.TWO_T_ONE_R: ("i_out", "i_crit"),
@@ -158,6 +162,13 @@ class GateTrace:
     energy: float
 
 
+def check_fan_in(n_inputs: int) -> None:
+    """Raise GateConfigError above the fan-in limit ``MAX_INPUTS``."""
+    if n_inputs > MAX_INPUTS:
+        raise GateConfigError(f"{n_inputs} inputs exceed the fan-in limit "
+                              f"of {MAX_INPUTS}")
+
+
 def check_op_fits(spec: ArraySpec, op: GateOp) -> None:
     """Raise GateConfigError unless the op's rows and column are in the array."""
     for row in op.input_rows + (op.output_row,):
@@ -279,6 +290,7 @@ def _solve_patterns(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
     last axis. ``dev`` (default: nominal) serves every cell; columns in it
     or in ``v_drive`` (default: the op's) add a leading axis. Returns the
     op and the :func:`solve_pattern` result."""
+    check_fan_in(n_inputs)
     if op is None:
         op = GateOp.for_kind(kind, array_spec.topology, n_inputs=n_inputs)
     if op.kind is not kind or op.n_inputs != n_inputs:

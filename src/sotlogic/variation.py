@@ -21,8 +21,9 @@ import numpy as np
 
 from .array import ArraySpec, Topology
 from .device import CellArrays, DeviceParams
-from .gates import (OBSERVABLES, GateOp, boolean_output, check_op_fits,
-                    input_columns, pattern_bits, pattern_label, solve_pattern)
+from .gates import (OBSERVABLES, GateOp, boolean_output, check_fan_in,
+                    check_op_fits, input_columns, pattern_bits, pattern_label,
+                    solve_pattern)
 from .report import HistogramTable, Table
 
 RNG_STREAM = 2        # version of the stream layout, recorded in reports
@@ -207,6 +208,7 @@ def run_mc(array_spec: ArraySpec, op: GateOp, n: int,
     """
     if n < 1:
         raise ValueError("need at least one trial")
+    check_fan_in(op.n_inputs)
     check_op_fits(array_spec, op)
     names = OBSERVABLES[array_spec.topology]
 

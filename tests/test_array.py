@@ -255,6 +255,9 @@ def test_spec_validation():
     ArraySpec(Topology.TWO_T_ONE_R, 4096, 4096, DeviceParams.default_2t1r())
     with pytest.raises(ValueError, match=re.escape("rows * cols <= 16777216")):
         ArraySpec(Topology.TWO_T_ONE_R, 4096, 4097, DeviceParams.default_2t1r())
+    with pytest.raises(ValueError, match="shape \\(3, 2\\) does not fit a 3x1"):
+        MramArray(ArraySpec(Topology.TWO_T_ONE_R, 3, 1,
+                            DeviceParams.default_2t1r()), [[0, 1]] * 3)
 
 
 def test_csv_round_trip():

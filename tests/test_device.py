@@ -248,7 +248,7 @@ def test_shipped_configs_are_the_default_sets(topology):
 
 
 def test_validation_names_offending_field():
-    for field in ("t_f", "Ms", "rho_SOT", "Ic_cal"):
+    for field in ("t_f", "Ms", "rho_SOT", "Ic_cal", "TMR0"):
         with pytest.raises(ConfigError, match=field):
             P2.replace(**{field: -1.0})
     with pytest.raises(ConfigError, match="theta_SH"):

@@ -169,3 +169,24 @@ def test_gate_files_alike_under_an_ascii_locale(tmp_path, fmt):
     proc = _run_under_an_ascii_locale(argv + [str(tmp_path / "k")])
     assert proc.returncode == 2
     assert "unknown device parameter key" in proc.stderr
+
+
+@pytest.mark.parametrize("marked", ["ops.txt", "grid.csv", "dev.json"])
+def test_inputs_that_start_with_a_byte_order_mark_read_alike(tmp_path, marked):
+    # Some editors save UTF-8 with a leading byte-order mark (BOM).
+    texts = {"ops.txt": RECIPES["array"],
+             "grid.csv": GRID.format(topology="2t1r"),
+             "dev.json": '{"R_on": 900.0}'}
+    for run, bom in (("plain", ""), ("bom", "\ufeff")):
+        for name, text in texts.items():
+            (tmp_path / f"{run}_{name}").write_text(
+                (bom if name == marked else "") + text, encoding="utf-8")
+        assert main(["gate", "--ops", str(tmp_path / f"{run}_ops.txt"),
+                     "--array", str(tmp_path / f"{run}_grid.csv"),
+                     "--config", str(tmp_path / f"{run}_dev.json"),
+                     "--ic-cal", "1.78", "--out", str(tmp_path / run)]) == 0
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert sorted(p.name for p in (tmp_path / "bom").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "bom" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes(), name

@@ -8,8 +8,9 @@ import pytest
 
 from sotlogic import (ArraySpec, DeviceParams, GateConfigError, GateKind,
                       GateOp, InseparableError, MagState, MramArray, Topology,
-                      boolean_output, calibrate_gate, execute_gate,
-                      margin_analysis, truth_table, write_cell)
+                      VariationSpec, boolean_output, calibrate_gate,
+                      execute_gate, margin_analysis, run_mc, truth_table,
+                      write_cell)
 from sotlogic import gates
 from sotlogic.device import CellArrays, ConfigError
 from sotlogic.gates import (PULSE_DEFAULT, parse_gate_ops, pattern_bits,
@@ -149,6 +150,25 @@ def test_out_of_bounds_addresses_rejected():
             truth_table(spec, GateKind.NOR, 2, op=op)
         with pytest.raises(GateConfigError):
             margin_analysis(spec, GateKind.NOR, 2, op=op)
+
+
+def test_op_of_another_kind_or_input_count_rejected():
+    spec = spec_for(Topology.TWO_T_ONE_R, 3)
+    for op in (GateOp.for_kind(GateKind.NAND, spec.topology),
+               GateOp.for_kind(GateKind.NOR, spec.topology, n_inputs=3)):
+        with pytest.raises(GateConfigError, match="op disagrees"):
+            truth_table(spec, GateKind.NOR, 2, op=op)
+
+
+def test_fan_in_above_the_limit_rejected():
+    # 2^n patterns are solved at once, so n is bounded before any solve.
+    n = 9
+    spec = spec_for(Topology.TWO_T_ONE_R, n)
+    op = GateOp.for_kind(GateKind.NOR, spec.topology, n_inputs=n)
+    with pytest.raises(GateConfigError, match="fan-in limit of 8"):
+        truth_table(spec, GateKind.NOR, n, op=op)
+    with pytest.raises(GateConfigError, match="fan-in limit of 8"):
+        run_mc(spec, op, 1, VariationSpec())
 
 
 @pytest.mark.parametrize("topology", list(Topology))

@@ -16,6 +16,7 @@ def test_single_resistor():
     sol = solve_general(net)
     assert sol.current("r") == pytest.approx(5.0 / 1000.0, rel=1e-12)
     assert sol.voltage("a") == pytest.approx(5.0, rel=1e-12)
+    assert sol.voltage("gnd") == 0.0
     assert sol.kcl_residual() < KCL_TOL
 
 

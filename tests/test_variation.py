@@ -216,6 +216,8 @@ def test_zero_variation_reduces_to_nominal_execution():
                                         (spec.nominal,) * 2, spec.nominal,
                                         op.v_drive)
     zero = result.pattern((0, 0))
+    with pytest.raises(KeyError, match="no pattern"):
+        result.pattern((0, 0, 0))
     assert zero.successes == 50
     assert np.all(zero.observables["i_out"] == i_out)
     assert np.all(zero.observables["i_crit"] == i_crit)
