@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 logic-verification failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -27,7 +28,8 @@ from .gates import (MAX_INPUTS, WINDOW, GateKind, GateOp, InseparableError,
                     calibrate_gate, execute_gate, input_columns,
                     margin_analysis, parse_gate_ops, pattern_label,
                     sweep_margins, truth_table)
-from .report import Table, config_digest, emit_csv, emit_json, make_bundle
+from .report import (Table, config_digest, emit_csv, emit_json, make_bundle,
+                     write_chunks)
 from .variation import RNG_STREAM, VARIED, VariationSpec, mc_tables, run_mc
 
 EXIT_OK = 0
@@ -198,9 +200,7 @@ def _report(args, spec: ArraySpec, name: str, tables, histograms=(),
     digest = config_digest({**meta, "device": dump_device_params(spec.nominal)})
     bundle = make_bundle({**meta, "config_digest": digest}, tables, histograms)
     if args.format == "json":
-        path = Path(args.out) / f"{name}_report.json"
-        emit_json(bundle, path)
-        return path
+        return emit_json(bundle, Path(args.out) / f"{name}_report.json")
     return emit_csv(bundle, args.out, name)[0]
 
 
@@ -251,15 +251,12 @@ def cmd_gate(args) -> int:
                      int(array.bits[op.output_row, op.col]),
                      trace.energy, all(trace.disturb_ok)))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    state_path = out_dir / "gate_state.csv"
-    state_path.write_bytes(array.to_csv().encode())
-
     columns = ("op", "kind", "col", "in_rows", "out_row", "switched", "out_bit",
                "energy_j", "disturb_ok")
     data = tuple(zip(*rows)) or ((),) * len(columns)  # a recipe may be empty
     path = _report(args, array.spec, "gate", [Table("traces", columns, data)])
+    state_path = Path(args.out) / "gate_state.csv"  # made by _report
+    write_chunks(state_path, [array.to_csv().encode()])
     print(f"gate: executed {len(ops)} ops -> {state_path}, {path}")
     return EXIT_OK
 
@@ -386,8 +383,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _float_flags() -> frozenset:
+    """The flags of every subcommand that take a float."""
+    return frozenset(flag for a in _parser()._actions if a.choices
+                     for command in a.choices.values() for b in command._actions
+                     if b.type is float for flag in b.option_strings)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)  # None: sys.argv[1:]
+    # argparse takes a value such as "-7e-5" for an option: a float flag is
+    # joined to a following value that float() reads ("--i-sot=-7e-5").
+    joined = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in _float_flags():
+            with contextlib.suppress(ValueError):
+                float(token)
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    args = _parser().parse_args(joined)
     try:
         return _COMMANDS[args.command][0](args)
     except InseparableError as exc:

@@ -772,6 +772,86 @@ def test_fan_in_limit_itself_is_accepted(tmp_path):
     assert len(rows) == 2 ** MAX_INPUTS
 
 
+# Each flag that takes a float, in a command that reads it.
+FLOAT_FLAG_COMMANDS = {
+    "--v-drive": ["truth-table"], "--pulse": ["truth-table"],
+    "--i-sot": ["truth-table", "--topology", "vgsot", "--gate", "or"],
+    "--r-on": ["truth-table"], "--ic-cal": ["truth-table"],
+    "--margin-fraction": ["calibrate"],
+    "--min": ["sweep", "--axis", "H_EX_Oe", "--max", "0", "--points", "3"],
+    "--max": ["sweep", "--axis", "H_EX_Oe", "--min", "-100", "--points", "3"],
+    **{flag: ["mc", "-n", "5"] for flag in (
+        "--sigma", "--sigma-t-ox", "--sigma-t-f", "--sigma-tmr", "--sigma-ra")},
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLOAT_FLAG_COMMANDS))
+def test_a_float_flag_takes_a_negative_value_with_an_exponent(tmp_path, flag):
+    # argparse alone takes "-7e-5" for an option and exits 2.
+    assert set(FLOAT_FLAG_COMMANDS) == cli._float_flags()
+
+    def run(value_argv, out):
+        code, stdout, stderr = _run_captured(
+            FLOAT_FLAG_COMMANDS[flag] + value_argv + ["--out", str(out)])
+        return code, stdout.replace(str(out), "OUT"), stderr, _snapshot(out)
+
+    spaced = run([flag, "-7e-5"], tmp_path / "a")
+    assert "expected one argument" not in spaced[2]
+    assert spaced == run([f"{flag}=-7e-5"], tmp_path / "b")
+
+
+def test_a_float_flag_without_its_value_is_an_argparse_error(tmp_path):
+    argv = ["truth-table", "--i-sot", "--out", str(tmp_path)]
+    code, out, err = _run_captured(argv)
+    assert (code, out, err) == _parse_output(build_parser(), argv)
+    assert code == 2 and "argument --i-sot: expected one argument" in err
+
+
+# A command run twice into one --out directory, its first run writing
+# longer files; the gate recipes are read from {long} and {short}.
+RERUNS = {
+    "mc-csv": (["mc", "-n", "700"], ["mc", "-n", "70"]),
+    "mc-json": (["mc", "-n", "700", "--format", "json"],
+                ["mc", "-n", "70", "--format", "json"]),
+    "sweep": (["sweep", "--axis", "RA", "--min", "5", "--max", "50",
+               "--points", "250"],
+              ["sweep", "--axis", "RA", "--min", "5", "--max", "50",
+               "--points", "70"]),
+    "gate": (["gate", "--ops", "{long}", "--rows", "8", "--cols", "2"],
+             ["gate", "--ops", "{short}"]),
+}
+RECIPES = {"long": "nor,0,0;1,2\nor,1,0;1,3\nnand,0,2;3,4\nand,1,3;4,5\n"
+                   "nor,0,4;5,6\nor,1,5;6,7\n",
+           "short": "nor,0,0;1,2\n"}
+
+
+def _run_into(tmp_path, argv, out) -> dict:
+    for name, recipe in RECIPES.items():
+        (tmp_path / f"{name}.txt").write_text(recipe)
+    argv = [str(tmp_path / f"{a[1:-1]}.txt") if a[1:-1] in RECIPES else a
+            for a in argv]
+    assert _run_captured(argv + ["--out", str(out)])[0] == 0
+    return _snapshot(out)
+
+
+@pytest.mark.parametrize("case", sorted(RERUNS))
+def test_a_rerun_over_longer_reports_writes_what_a_fresh_run_does(tmp_path,
+                                                                  case):
+    longer, shorter = RERUNS[case]
+    first = _run_into(tmp_path, longer, tmp_path / "o")
+    fresh = _run_into(tmp_path, shorter, tmp_path / "fresh")
+    assert max(len(first[name]) - len(fresh[name]) for name in fresh) > 0
+    assert _run_into(tmp_path, shorter, tmp_path / "o") == fresh
+
+
+def test_a_report_written_over_a_longer_foreign_file(tmp_path):
+    argv = ["mc", "-n", "70", "--format", "json"]
+    fresh = _run_into(tmp_path, argv, tmp_path / "fresh")
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / "mc_report.json").write_bytes(b"\xff" * 200_000)
+    assert _run_into(tmp_path, argv, tmp_path / "o") == fresh
+
+
 # --- exit-code contract over generated argv -----------------------------------------
 
 _NUMBERS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-9", "0.2",

@@ -132,6 +132,39 @@ def test_unrenderable_column_leaves_csv_as_it_was(tmp_path):
     assert sentinel.read_bytes() == b"kept\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_write_that_fails_part_way_leaves_none_of_the_old_bytes(
+        tmp_path, monkeypatch, fmt):
+    # A report is written over the old file and cut to what was written,
+    # also when rendering raises after the head is written: here the float
+    # kernel of the format (_float_cells or _repr_cells), which the byte
+    # matrix of a table of 64 rows and more calls.
+    def write(out):
+        out.mkdir(exist_ok=True)
+        bundle = make_bundle({"seed": 1}, tables=[
+            Table("t", ("k", "x"), (np.arange(100), np.linspace(0, 1, 100)))])
+        if fmt == "csv":
+            emit_csv(bundle, out, "r")
+        else:
+            emit_json(bundle, out / "r_t.csv")
+        return (out / "r_t.csv").read_bytes()
+
+    whole = write(tmp_path / "fresh")
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / "r_t.csv").write_bytes(b"\xff" * 100_000)
+
+    def fail(x):
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setitem(report._RULES[fmt], "f",
+                        report._RULES[fmt]["f"]._replace(cells=fail))
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        write(tmp_path / "o")
+    written = (tmp_path / "o" / "r_t.csv").read_bytes()
+    assert b"\xff" not in written
+    assert written and whole.startswith(written) and len(written) < len(whole)
+
+
 def test_lone_surrogate_leaves_csv_as_it_was(tmp_path):
     # UTF-8 has no surrogate code point, so CSV could not write the cell;
     # the table is rejected as it is built, before the file is opened.
