@@ -11,11 +11,11 @@ Exit codes: 0 success, 1 logic-verification failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -48,6 +48,7 @@ MAX_BINS = 2 ** 16
 MAX_TRIALS = 2 ** 24
 
 _SWEEP_AXES = tuple(f.name for f in dataclasses.fields(DeviceParams))
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -117,6 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = [_common_flags()]
     for name, (_, help_text, add_flags) in _COMMANDS.items():
         p = sub.add_parser(name, parents=common, help=help_text)
+        # What argparse reads as a value, not an option: by default only
+        # "-digits" and "-digits.digits", not "-7e-5" or "-inf".
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         if add_flags is not None:
             add_flags(p)
     return parser
@@ -383,26 +387,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-@functools.cache
-def _float_flags() -> frozenset:
-    """The flags of every subcommand that take a float."""
-    return frozenset(flag for a in _parser()._actions if a.choices
-                     for command in a.choices.values() for b in command._actions
-                     if b.type is float for flag in b.option_strings)
-
-
 def main(argv=None) -> int:
-    # argparse takes a value such as "-7e-5" for an option: a float flag is
-    # joined to a following value that float() reads ("--i-sot=-7e-5").
-    joined = []
-    for token in sys.argv[1:] if argv is None else argv:
-        if joined and joined[-1] in _float_flags():
-            with contextlib.suppress(ValueError):
-                float(token)
-                joined[-1] += "=" + token
-                continue
-        joined.append(token)
-    args = _parser().parse_args(joined)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
     except InseparableError as exc:

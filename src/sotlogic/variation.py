@@ -264,29 +264,17 @@ def current_histogram(result: MCResult, bins: int = 32) -> HistogramReport:
         pad = max(abs(lo) * 1e-9, 1e-30)
         lo, hi = lo - pad, lo + pad
     edges = np.linspace(lo, hi, bins + 1)
-    step = (hi - lo) / bins
     # Bin k holds edges[k] <= v < edges[k + 1], and the last bin the last
     # edge too, as np.histogram counts. A block of at most BLOCK values (the
     # rows of as many patterns as fit, or a part of one pattern's row) is
-    # binned by one estimate and one bincount. The estimate
-    # floor((v - lo) / step) and the edges err by a few ulps of the values'
-    # magnitude, so where a bin is 64 such ulps wide or more the estimate is
-    # at most one bin off, and one comparison against each neighbouring edge
-    # fixes it; narrower bins (edges may repeat) are found by binary search.
-    estimate = step >= 64 * np.spacing(max(abs(lo), abs(hi)))
+    # binned by one binary search over the edges and one bincount.
     per_row = np.zeros((len(values), bins), np.int64)
     rows = max(1, BLOCK // values.shape[1])
     for start, part in itertools.product(range(0, len(values), rows),
                                          range(0, values.shape[1], BLOCK)):
         block = values[start:start + rows, part:part + BLOCK]
-        if estimate:
-            index = ((block - lo) / step).astype(np.intp)
-            np.clip(index, 0, bins - 1, out=index)
-            index -= block < edges[index]
-            index += block >= edges[index + 1]
-        else:
-            index = np.searchsorted(edges, block, "right")
-            index -= 1
+        index = np.searchsorted(edges, block, "right")
+        index -= 1
         np.minimum(index, bins - 1, out=index)
         index += np.arange(len(block))[:, None] * bins
         per_row[start:start + rows] += np.bincount(

@@ -216,7 +216,9 @@ def test_mc_checks_bins_before_sampling(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flags, field", [(["--sigma", "nan"], "sigma_t_ox"),
-                                          (["--sigma-ra", "inf"], "sigma_ra")])
+                                          (["--sigma-ra", "inf"], "sigma_ra"),
+                                          (["--sigma=-nan"], "sigma_t_ox"),
+                                          (["--sigma-ra", "-inf"], "sigma_ra")])
 def test_mc_rejects_non_finite_sigma(tmp_path, capsys, flags, field):
     code = main(["mc", "-n", "10", "--out", str(tmp_path / "o")] + flags)
     err = capsys.readouterr().err
@@ -621,6 +623,8 @@ def test_op_flags_keep_their_report_bytes(tmp_path, argv, digests):
     (["truth-table"], 0),
     (["truth-table", "--v-drive", "0"], 1),  # inseparable
     (["mc", "-n", "0"], 2),
+    # argparse reads "-nan" as mc's "-n" with the value "an".
+    (["mc", "--sigma", "-nan"], 2),
 ])
 def test_console_entry_point_exits_with_the_command_code(tmp_path, argv, code):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -785,19 +789,39 @@ FLOAT_FLAG_COMMANDS = {
 }
 
 
+def _subcommand_parsers() -> dict:
+    return next(a.choices for a in build_parser()._actions if a.choices)
+
+
+def _shortest_prefix(parser, flag) -> str:
+    """The shortest prefix of ``flag`` that ``parser`` reads as ``flag``."""
+    return next(flag[:n] for n in range(3, len(flag) + 1)
+                if flag[:n] == flag or sum(
+                    o.startswith(flag[:n])
+                    for o in parser._option_string_actions) == 1)
+
+
 @pytest.mark.parametrize("flag", sorted(FLOAT_FLAG_COMMANDS))
 def test_a_float_flag_takes_a_negative_value_with_an_exponent(tmp_path, flag):
-    # argparse alone takes "-7e-5" for an option and exits 2.
-    assert set(FLOAT_FLAG_COMMANDS) == cli._float_flags()
+    # By default argparse takes "-7e-5" for an option and exits 2.
+    parsers = _subcommand_parsers()
+    assert set(FLOAT_FLAG_COMMANDS) == {
+        option for p in parsers.values() for a in p._actions
+        if a.type is float for option in a.option_strings}
+    command = FLOAT_FLAG_COMMANDS[flag]
 
     def run(value_argv, out):
         code, stdout, stderr = _run_captured(
-            FLOAT_FLAG_COMMANDS[flag] + value_argv + ["--out", str(out)])
+            command + value_argv + ["--out", str(out)])
         return code, stdout.replace(str(out), "OUT"), stderr, _snapshot(out)
 
-    spaced = run([flag, "-7e-5"], tmp_path / "a")
-    assert "expected one argument" not in spaced[2]
-    assert spaced == run([f"{flag}=-7e-5"], tmp_path / "b")
+    joined = run([f"{flag}=-7e-5"], tmp_path / "joined")
+    # In full, and abbreviated as argparse allows ("--i-sot" as "--i-").
+    for i, spelling in enumerate(
+            [flag, _shortest_prefix(parsers[command[0]], flag)]):
+        spaced = run([spelling, "-7e-5"], tmp_path / str(i))
+        assert "expected one argument" not in spaced[2]
+        assert spaced == joined
 
 
 def test_a_float_flag_without_its_value_is_an_argparse_error(tmp_path):
@@ -864,25 +888,31 @@ _NUMERIC_FLAGS = ("--v-drive", "--i-sot", "--pulse", "--r-on", "--ic-cal",
 def _argv(draw):
     command = draw(st.sampled_from(["truth-table", "mc", "margin", "calibrate",
                                     "sweep", "gate"]))
+
+    def numeric(flag, values):
+        # As "flag=value", or as two tokens that argparse classifies.
+        value = str(draw(values))
+        return draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
+
     argv = [command,
             "--topology", draw(st.sampled_from(["2t1r", "vgsot"])),
             "--gate", draw(st.sampled_from(["nor", "nand", "or", "and"])),
-            f"--inputs={draw(st.integers(0, 10))}"]
+            *numeric("--inputs", st.integers(0, 10))]
     for flag in _NUMERIC_FLAGS:
         if draw(st.sampled_from([False, False, True])):
-            argv.append(f"{flag}={draw(_NUMBERS)}")
+            argv += numeric(flag, _NUMBERS)
     if command == "mc":
-        argv += [f"-n={draw(st.integers(-1, 20))}",
-                 f"--bins={draw(st.integers(0, 8))}", "--workers=1"]
+        argv += [*numeric("-n", st.integers(-1, 20)),
+                 *numeric("--bins", st.integers(0, 8)), "--workers=1"]
         if draw(st.booleans()):
-            argv.append(f"--sigma={draw(_NUMBERS)}")
+            argv += numeric("--sigma", _NUMBERS)
     elif command == "sweep":
         argv += ["--axis", draw(st.sampled_from(["RA", "TMR0", "H_EX_Oe",
                                                  "R_on", "beta", "bogus"])),
-                 f"--min={draw(_NUMBERS)}", f"--max={draw(_NUMBERS)}",
-                 f"--points={draw(st.integers(0, 5))}"]
+                 *numeric("--min", _NUMBERS), *numeric("--max", _NUMBERS),
+                 *numeric("--points", st.integers(0, 5))]
     elif command == "gate":
-        argv += ["--ops", "{recipe}", f"--rows={draw(st.integers(3, 6))}"]
+        argv += ["--ops", "{recipe}", *numeric("--rows", st.integers(3, 6))]
     return argv
 
 
