@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
@@ -585,38 +584,6 @@ def test_pulse_flag_reaches_the_report(tmp_path, command, setup):
                     ["--format", "json", "--out", str(out)]) == 0
         doc = json.loads(next(out.glob("*_report.json")).read_text())
         assert doc["meta"]["pulse"] == pulse
-
-
-# sha256 of the margin and sweep reports at a given drive (and write
-# current), recorded while the CLI passed only the op flags it was given on
-# to GateOp.for_kind.
-OP_FLAG_DIGESTS = [
-    (["margin", "--v-drive", "-1.2", "--inputs", "3"], {
-        "margin_patterns.csv":
-            "bd182c3e9514f5c952bbca2c3f46ad20df24958820e444334ba29d11b194ec4b",
-        "margin_summary.csv":
-            "8b9cc98b9ee7131426bea5ff4790d110f2d068b4a14a5020f5af3e5b6fe34631"}),
-    (["margin", "--topology", "vgsot", "--gate", "or", "--v-drive", "1.2",
-      "--format", "json"], {
-        "margin_report.json":
-            "6fa9e48d30bc07863ffa25c32d769d6ac55d57e6e434d53cc446775a8996f8df"}),
-    (["sweep", "--axis", "RA", "--min", "5", "--max", "50", "--points", "4",
-      "--v-drive", "0.9"], {
-        "sweep_sweep.csv":
-            "5f26dc9a230acac98b5158591d88cf9a0d5575a549cbd248cf4d85711dcdf83f"}),
-    (["sweep", "--axis", "t_f", "--min", "1e-9", "--max", "2e-9", "--points",
-      "3", "--topology", "vgsot", "--gate", "nand", "--v-drive", "1.3",
-      "--i-sot", "5e-5", "--format", "json"], {
-        "sweep_report.json":
-            "4b2bec964608a0f22f2b6719d9130caca7b62e359eef8ad9c1fbbcf928584969"}),
-]
-
-
-@pytest.mark.parametrize("argv, digests", OP_FLAG_DIGESTS)
-def test_op_flags_keep_their_report_bytes(tmp_path, argv, digests):
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(tmp_path.iterdir())} == digests
 
 
 @pytest.mark.parametrize("argv, code", [
