@@ -18,10 +18,13 @@ skeleton has a small writer of its own (``_json_text``).
 
 Every file is written by one writer, ``write_chunks``, over the old file's
 bytes and then cut to the length written, so a rerun into the same
-directory leaves the bytes a fresh one gets. It does not open with
+directory leaves the bytes a fresh one gets. It hands each chunk to
+``os.write`` on the descriptor it opens, with no buffered file object in
+between, and cuts with ``os.ftruncate``. It does not open with
 ``O_TRUNC``: on ext4 mounted with ``discard`` (shared 2-CPU Xeon host),
-rewriting a 3-100 KB file took a median ~27-78 us when cut to 0 bytes
-first, against ~15-40 us written over. The closing ftruncate costs ~2-3 us
+rewriting 400 files of 3-100 KB took a median ~18-57 us a file when cut
+to 0 bytes first, against ~15-27 us written over (~50-97 against ~4-7 us
+for one file rewritten again and again). The closing ftruncate costs ~1 us
 on a file just made.
 """
 
@@ -102,11 +105,14 @@ def _column(name: str, column) -> np.ndarray:
     if kind not in "fiubU" or kind == "f" and column.itemsize > 8:
         raise TypeError(f"table {name!r}: no rule renders dtype {column.dtype}")
     if kind == "U":
+        # Scanned only where the column's extremes allow a NUL or a
+        # surrogate; NUL-padded, text holds one if a NUL precedes a non-NUL.
         codes = _text_codes(column)
-        nul = codes == 0  # NUL-padded: a NUL before a non-NUL is text
-        if np.count_nonzero(nul[:, :-1] > nul[:, 1:]):
+        if codes.min(initial=1) == 0 and np.count_nonzero(
+                (codes[:, :-1] == 0) > (codes[:, 1:] == 0)):
             raise ValueError(f"table {name!r}: text holds NUL")
-        if np.count_nonzero(codes >> 11 == 0xD800 >> 11):  # U+D800-U+DFFF
+        if codes.max(initial=0) >= 0xD800 and np.count_nonzero(
+                codes >> 11 == 0xD800 >> 11):  # U+D800-U+DFFF
             raise ValueError(f"table {name!r}: text holds a surrogate")
     return column
 
@@ -187,11 +193,16 @@ _K4 = np.arange(10000)
 _SPREAD = np.zeros((10000, 8), np.uint8)
 _SPREAD[:, ::2] = np.stack([_K4 // 1000, _K4 // 100 % 10, _K4 // 10 % 10,
                             _K4 % 10], 1) + ord("0")
-_DIGITS4 = _SPREAD[:, ::2].copy().view(np.uint32)[:, 0]
 _DIGITS4_SPREAD = _SPREAD.view("<u8")[:, 0]
 # _ZEROS4[k] counts the trailing zero digits of k (4 for 0).
 _ZEROS4 = sum((_K4 % 10 ** k == 0).astype(np.uint8) for k in range(1, 5))
-_POW10_INT = 10 ** np.arange(16, dtype=np.int64)
+# The 4-digit groups of an int's text, one per 4-byte word: at [k] k with
+# its leading zeros NUL, at [10000 + k] with them. 0 is no digit in the
+# first table, for a group before an int's first digit, and "0" in the
+# second, for an int's last group.
+_INT_GROUPS = [np.concatenate([_SPREAD[:, ::2] * (_K4[:, None] >= least),
+                               _SPREAD[:, ::2]]).view(np.uint32)[:, 0]
+               for least in ([1000, 100, 10, 1], [1000, 100, 10, 0])]
 _BOOL_WORDS = _words((b"false", b"true"))
 _LEAD_WORDS = _words(bytes([0] * 6 + [d]) for d in b"0123456789")
 
@@ -456,18 +467,22 @@ def _repr_cells(x):
 
 def _int_cells(x):
     """``'%d' % v`` of each value of the integer array ``x``, as cells:
-    values in [0, 1e16) by the 4-digit table, the rest one at a time."""
+    values in [0, 1e16) by one lookup per 4-digit group (``_INT_GROUPS``),
+    the rest one at a time."""
     x = x.astype(np.uint64 if x.dtype.kind == "u" else np.int64, copy=False)
     small = (x >= 0) & (x < 10 ** 16)
     v = x if small.all() else np.where(small, x, 0).astype(np.int64)
-    width = 4 * -(-len(str(int(v.max(initial=0)))) // 4)
-    parts = [v // 10 ** k % 10000 for k in range(width - 4, -4, -4)]
-    cells = _DIGITS4[np.stack(parts, 1)].view(np.uint8).reshape(len(x), width)
-    # Blank the leading zeros; 0 keeps its last digit.
-    digits = np.maximum(np.searchsorted(_POW10_INT, v, side="right"), 1)
-    cells *= np.arange(width) >= width - digits[:, None]
+    groups = -(-len(str(int(v.max(initial=0)))) // 4)
+    words = np.empty((len(x), groups), np.uint32)
+    for g in range(groups):
+        # A quotient below 10000 is the int's first digits, shown without
+        # leading zeros; a larger one ends in a group shown with them.
+        q = v // 10 ** (4 * (groups - 1 - g))
+        words[:, g] = _INT_GROUPS[g == groups - 1][
+            np.minimum(q, q % 10000 + 10000) if g else q]
     where = np.flatnonzero(~small)
-    return _fallback_cells(cells, where, [b"%d" % v for v in x[where].tolist()])
+    return _fallback_cells(words.view(np.uint8), where,
+                           [b"%d" % v for v in x[where].tolist()])
 
 
 def _text_codes(x):
@@ -486,20 +501,23 @@ def _text_cells(x):
 
 
 # The code points that JSON text holds as they are, NUL (the padding of a
-# cell) among them; 128 stands for every code point past ASCII.
-_JSON_PLAIN = np.zeros(129, bool)
-_JSON_PLAIN[0x20:0x7f] = True
-_JSON_PLAIN[[0, ord('"'), ord("\\")]] = True, False, False
+# cell) among them.
+_JSON_PLAIN = b"\0" + bytes(range(0x20, 0x7f)).translate(None, b'"\\')
 
 
 def _json_text_cells(x):
     """``encode_basestring_ascii`` of each value of a str array, as cells:
     text of printable ASCII but ``"`` and ``\\`` is its code points in
-    quotes, and other text is escaped one value at a time."""
+    quotes, and other text is escaped one value at a time, its rows sought
+    only if a byte of the chunk is not plain."""
     codes = _text_codes(x)
+    text = codes.astype(np.uint8)
     cells = np.full((len(x), codes.shape[1] + 2), ord('"'), np.uint8)
-    cells[:, 1:-1] = codes.astype(np.uint8)
-    where = np.flatnonzero(~_JSON_PLAIN[np.minimum(codes, 128)].all(1))
+    cells[:, 1:-1] = text
+    if codes.max(initial=0) < 128 and \
+            not text.tobytes().translate(None, _JSON_PLAIN):
+        return cells
+    where = np.flatnonzero(~np.isin(codes, list(_JSON_PLAIN)).all(1))
     return _fallback_cells(cells, where, [
         encode_basestring_ascii(v).encode() for v in x[where].tolist()])
 
@@ -536,14 +554,15 @@ _JSON_FLAT = {t: _RULES["json"][np.dtype(d).kind].text or str
 
 # Tables of at least this many rows are written as byte matrices, smaller
 # ones by one ``%`` template per row, in CSV and JSON alike. Measured in
-# process (2-CPU Xeon host), a matrix costs a fixed ~0.13 ms in CSV and
-# ~0.22 ms in JSON (most of it the repr kernel's), and ~40 us more per int
-# column; a template row costs ~0.2 us (CSV) to ~0.5 us (JSON) per float
-# cell more than a matrix row. The CSV paths break even at ~45 rows on a
-# sweep table (floats and bools), ~110 on a margin table and past 256 on
-# int-heavy truth tables; the JSON paths at ~32, ~90 and ~250. At 64,
-# tables of up to 5 inputs and 32-bin histograms take templates, sweeps and
-# MC trials take matrices.
+# process (2-CPU Xeon host), an 8-row matrix of a sweep table (7 float and
+# 2 bool columns) costs ~60 us in CSV and ~110 us in JSON (most of it the
+# float kernel's), and ~12 us more per int column (~40 us at 4000 rows);
+# a template row costs ~0.14 us (CSV) to ~0.5 us (JSON) per float cell
+# more than a matrix row. The CSV paths break even at ~50 rows on a sweep
+# table, ~120 on a margin table, ~140 on an MC trials table and ~230 on a
+# truth table (10 int columns); the JSON paths at ~27, ~76, ~82 and ~128.
+# At 64, tables of up to 5 inputs and 32-bin histograms take templates,
+# sweeps and MC trials take matrices.
 _MATRIX_ROWS = 64
 
 
@@ -603,11 +622,17 @@ def write_chunks(path, chunks) -> None:
     cut it to what was written, also when a chunk raises part-way.
     ``O_BINARY`` keeps Windows from writing CRLF."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as f:
+    written = 0
+    try:
+        for view in map(memoryview, chunks):
+            while view:  # a short write leaves the rest of the chunk
+                n = os.write(fd, view)
+                written, view = written + n, view[n:]
+    finally:
         try:
-            f.writelines(chunks)
+            os.ftruncate(fd, written)
         finally:
-            f.truncate()
+            os.close(fd)
 
 
 def emit_csv(bundle: ReportBundle, out_dir, prefix: str):
@@ -617,7 +642,8 @@ def emit_csv(bundle: ReportBundle, out_dir, prefix: str):
     bundle without tables writes none.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if not os.path.isdir(out):
+        out.mkdir(parents=True, exist_ok=True)
     histograms = [
         Table(h.name,
               ("bin_lo", "bin_hi", *(f"count_{label}" for label, _ in h.series)),
@@ -692,7 +718,8 @@ def emit_json(bundle: ReportBundle, path) -> Path:
                    f'{_json_text(tables[name].columns, 3)},\n      "rows": '
                    .encode() for k, name in enumerate(names)]
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if not os.path.isdir(path.parent):
+        path.parent.mkdir(parents=True, exist_ok=True)
     write_chunks(path, chain([head.encode()], *(
         chain([table_head], _rows_json(tables[name]))
         for table_head, name in zip(table_heads, names)),

@@ -111,6 +111,9 @@ def _corpus() -> list:
           for t in TOPOLOGIES for f in ("csv", "json")
           for n, trials in (("2", "15"), ("2", "16"), ("2", "1024"),
                             ("2", "1025"), ("1", "4096"), ("1", "4097"))]
+    # Trial numbers of 5 digits, two int groups a cell, over five chunks.
+    mc += [["mc", "--inputs", "1", "-n", "10001", "--format", f]
+           for f in ("csv", "json")]
     sweeps = [["sweep", "--axis", "RA", "--min", "5", "--max", "50",
                "--points", points, "--topology", t, "--format", f]
               for points in ("1", "63", "64", "250")

@@ -816,11 +816,17 @@ RECIPES = {"long": "nor,0,0;1,2\nor,1,0;1,3\nnand,0,2;3,4\nand,1,3;4,5\n"
            "short": "nor,0,0;1,2\n"}
 
 
-def _run_into(tmp_path, argv, out) -> dict:
+def _with_recipes(tmp_path, argv) -> list:
+    """``argv`` with {long} and {short} naming recipes written under
+    ``tmp_path``."""
     for name, recipe in RECIPES.items():
         (tmp_path / f"{name}.txt").write_text(recipe)
-    argv = [str(tmp_path / f"{a[1:-1]}.txt") if a[1:-1] in RECIPES else a
+    return [str(tmp_path / f"{a[1:-1]}.txt") if a[1:-1] in RECIPES else a
             for a in argv]
+
+
+def _run_into(tmp_path, argv, out) -> dict:
+    argv = _with_recipes(tmp_path, argv)
     assert _run_captured(argv + ["--out", str(out)])[0] == 0
     return _snapshot(out)
 
@@ -841,6 +847,19 @@ def test_a_report_written_over_a_longer_foreign_file(tmp_path):
     (tmp_path / "o").mkdir()
     (tmp_path / "o" / "mc_report.json").write_bytes(b"\xff" * 200_000)
     assert _run_into(tmp_path, argv, tmp_path / "o") == fresh
+
+
+@pytest.mark.parametrize("argv", [["truth-table"],
+                                  ["mc", "-n", "70", "--format", "json"],
+                                  ["gate", "--ops", "{short}"]],
+                         ids=["csv", "json", "gate"])
+def test_an_out_path_that_is_a_file_is_a_config_error(tmp_path, argv):
+    out = tmp_path / "long.txt"  # an existing regular file
+    code, _, stderr = _run_captured(_with_recipes(tmp_path, argv) +
+                                    ["--out", str(out)])
+    assert code == 2
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+    assert out.read_text() == RECIPES["long"]
 
 
 # --- exit-code contract over generated argv -----------------------------------------

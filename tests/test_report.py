@@ -1,10 +1,12 @@
 """Deterministic serialization: CSV/JSON layout, digests, round trips."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 from unittest import mock
 
@@ -434,6 +436,21 @@ def _mc_bundle(topology, kind):
                        tables=[summary, trials], histograms=[histogram])
 
 
+def _assert_file_holds(path: Path, expected: str):
+    """The file's bytes are ``expected`` in UTF-8. Compared by digest: on a
+    mismatch, the first differing line is shown, not a diff of the whole
+    texts, which takes minutes for a long report."""
+    got = path.read_bytes()
+    if hashlib.sha256(got).digest() == \
+            hashlib.sha256(expected.encode()).digest():
+        return
+    lines = zip_longest(got.decode(errors="replace").splitlines(True),
+                        expected.splitlines(True))
+    k, (line, want) = next((k, pair) for k, pair in enumerate(lines, 1)
+                           if pair[0] != pair[1])
+    assert (path.name, k, line) == (path.name, k, want)
+
+
 @pytest.mark.parametrize("topology, kind", [(Topology.TWO_T_ONE_R, GateKind.NOR),
                                             (Topology.VGSOT, GateKind.OR)])
 def test_mc_reports_equal_row_wise_oracle(tmp_path, monkeypatch, topology,
@@ -443,15 +460,38 @@ def test_mc_reports_equal_row_wise_oracle(tmp_path, monkeypatch, topology,
         monkeypatch.setattr(report, "_MATRIX_ROWS", matrix_rows)
         emit_csv(bundle, tmp_path, "mc")
         for table in bundle.tables:
-            assert (tmp_path / f"mc_{table.name}.csv").read_text() == \
-                report_oracle.table_csv(table.columns,
-                                        report_oracle.rows_of(table),
-                                        bundle.meta)
+            _assert_file_holds(tmp_path / f"mc_{table.name}.csv",
+                               report_oracle.table_csv(
+                                   table.columns, report_oracle.rows_of(table),
+                                   bundle.meta))
         for hist in bundle.histograms:
-            assert (tmp_path / f"mc_{hist.name}.csv").read_text() == \
-                report_oracle.histogram_csv(hist, bundle.meta)
-        assert emit_json(bundle, tmp_path / "mc.json").read_text() == \
-            report_oracle.json_text(bundle)
+            _assert_file_holds(tmp_path / f"mc_{hist.name}.csv",
+                               report_oracle.histogram_csv(hist, bundle.meta))
+        _assert_file_holds(emit_json(bundle, tmp_path / "mc.json"),
+                           report_oracle.json_text(bundle))
+
+
+def test_short_writes_leave_the_bytes_of_a_fresh_report(tmp_path):
+    bundle = _mc_bundle(Topology.VGSOT, GateKind.OR)
+    fresh = tmp_path / "fresh"
+    paths = [*emit_csv(bundle, fresh, "mc"), emit_json(bundle, fresh / "mc.json")]
+    out = tmp_path / "out"
+    out.mkdir()
+    for path in paths:  # a longer old file under each report's name
+        (out / path.name).write_bytes(b"\xff" * (path.stat().st_size + 5000))
+    write, sizes = os.write, []
+
+    def short_write(fd, data):  # takes at most 7 bytes
+        sizes.append(write(fd, memoryview(data)[:7]))
+        return sizes[-1]
+
+    with mock.patch.object(os, "write", short_write):
+        emit_csv(bundle, out, "mc")
+        emit_json(bundle, out / "mc.json")
+    assert max(sizes) == 7
+    assert sum(sizes) == sum(path.stat().st_size for path in paths)
+    for path in paths:
+        assert (out / path.name).read_bytes() == path.read_bytes()
 
 
 # --- the %.9g kernel against % ------------------------------------------------
