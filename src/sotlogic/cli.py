@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .array import ArraySpec, MramArray, Topology
-from .device import (ConfigError, DeviceParams, dump_device_params,
+from .device import (FIELDS, ConfigError, DeviceParams, dump_device_params,
                      load_device_params)
 from .gates import (MAX_INPUTS, WINDOW, GateKind, GateOp, InseparableError,
                     calibrate_gate, execute_gate, input_columns,
@@ -47,7 +47,6 @@ MAX_POINTS = 2 ** 16
 MAX_BINS = 2 ** 16
 MAX_TRIALS = 2 ** 24
 
-_SWEEP_AXES = tuple(f.name for f in dataclasses.fields(DeviceParams))
 _NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
@@ -341,9 +340,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.axis not in _SWEEP_AXES:
+    if args.axis not in FIELDS:
         raise ConfigError(f"unknown sweep axis {args.axis!r}; "
-                          f"choose one of {', '.join(_SWEEP_AXES)}")
+                          f"choose one of {', '.join(FIELDS)}")
     if args.points < 1:
         raise ConfigError("--points must be >= 1")
     if args.points > MAX_POINTS:

@@ -92,7 +92,7 @@ class DeviceParams:
     J_stt_crit: float = 5e10    # STT read-disturb current density limit
 
     def __post_init__(self) -> None:
-        for name in _FIELDS:
+        for name in FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
@@ -121,7 +121,8 @@ class DeviceParams:
         return cls(RA=650.0)
 
 
-_FIELDS = tuple(f.name for f in dataclasses.fields(DeviceParams))
+# The field names: the config keys and the sweep axes.
+FIELDS = tuple(f.name for f in dataclasses.fields(DeviceParams))
 
 
 class CellArrays:
@@ -230,7 +231,7 @@ def load_device_params(source: "str | Path | Mapping",
     base = base if base is not None else DeviceParams.default_2t1r()
     changes = {}
     for key, value in mapping.items():
-        if key in _FIELDS:
+        if key in FIELDS:
             changes[key] = _as_number(key, value)
         else:
             raise ConfigError(f"unknown device parameter key: {key!r}")
@@ -239,7 +240,7 @@ def load_device_params(source: "str | Path | Mapping",
 
 def dump_device_params(p: DeviceParams) -> dict:
     """Inverse of load_device_params: the field mapping."""
-    return {name: getattr(p, name) for name in _FIELDS}
+    return {name: getattr(p, name) for name in FIELDS}
 
 
 def _as_number(key: str, value) -> float:

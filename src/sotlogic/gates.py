@@ -135,6 +135,7 @@ class GateOp:
         get the reversed drive polarity automatically.
         """
         if input_rows is None:
+            check_fan_in(n_inputs)
             input_rows = tuple(range(n_inputs))
         input_rows = tuple(input_rows)
         if output_row is None:
@@ -163,10 +164,10 @@ class GateTrace:
 
 
 def check_fan_in(n_inputs: int) -> None:
-    """Raise GateConfigError above the fan-in limit ``MAX_INPUTS``."""
-    if n_inputs > MAX_INPUTS:
-        raise GateConfigError(f"{n_inputs} inputs exceed the fan-in limit "
-                              f"of {MAX_INPUTS}")
+    """Raise GateConfigError unless 1 <= n_inputs <= ``MAX_INPUTS``."""
+    if not 1 <= n_inputs <= MAX_INPUTS:
+        raise GateConfigError(f"{n_inputs} inputs: a gate takes 1 up to "
+                              f"the fan-in limit of {MAX_INPUTS}")
 
 
 def check_op_fits(spec: ArraySpec, op: GateOp) -> None:
@@ -401,6 +402,8 @@ def sweep_margins(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
     window is open and, in 2T-1R, its weakest must-switch current reaches
     the device threshold; it is disturb-free while its worst input
     current density stays below ``J_stt_crit``."""
+    if values.size == 0:
+        raise ValueError("a sweep needs at least one value")
     # Each field rule (finite, > 0, >= 0, <= 1) holds on an interval, so
     # the ends, then the extremes, check every value before any solve.
     for value in (values[0], values[-1], values.min(), values.max()):

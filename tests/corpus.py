@@ -70,8 +70,9 @@ vgsot or 3 csv --trials 1500
 2t1r nand 2 json --trials 4099 --sigma-ra 0.05
 2t1r nor 4 csv --trials 4200"""
 
-# One argv a line: the op flags at a given drive (and write current); the
-# installed console script's smoke commands; and the failure exit codes:
+# One argv a line: the op flags at a given drive (and write current); a
+# plain command of each kind (the recipe has a non-ASCII comment) and
+# negative flag values with exponents; and the failure exit codes:
 # 1 (inseparable at zero drive, or a truth-table mismatch) and 2 (config
 # errors, and "-nan", which argparse reads as mc's "-n" with the value
 # "an").

@@ -19,8 +19,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sotlogic import (ArraySpec, ConfigError, DeviceParams, GateKind,
-                      GateOp, Topology, cli, critical_sot_current, gates,
-                      margin_analysis, mtj_area)
+                      GateOp, Topology, cli, critical_sot_current, device,
+                      gates, margin_analysis, mtj_area)
 from sotlogic.cli import _COMMANDS, MAX_INPUTS, build_parser, main
 
 
@@ -316,7 +316,7 @@ _SWEEP_ENDS = st.one_of(st.floats(-2.0, 2.0),
 
 
 @settings(max_examples=150, deadline=None)
-@given(axis=st.sampled_from(cli._SWEEP_AXES), lo=_SWEEP_ENDS, hi=_SWEEP_ENDS,
+@given(axis=st.sampled_from(device.FIELDS), lo=_SWEEP_ENDS, hi=_SWEEP_ENDS,
        points=st.integers(1, 300))
 def test_sweep_end_check_agrees_with_checking_every_value(axis, lo, hi,
                                                           points):

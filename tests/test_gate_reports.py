@@ -1,9 +1,10 @@
-"""Gate inputs read alike whatever the locale or a leading byte-order mark.
+"""Reports come out alike whatever the locale or a leading byte-order mark.
 
-The report corpus (``corpus.py``) pins the ``gate`` command's report
-bytes. These tests show that one recipe, grid and config give the same
-bytes under an ASCII locale as under UTF-8, and with a leading UTF-8
-byte-order mark as without one.
+The report corpus (``corpus.py``) pins the report bytes. These tests show
+that one ``gate`` recipe, grid and config, and the ``truth-table``, ``mc``
+and ``sweep`` commands, give the same bytes under an ASCII locale as under
+UTF-8, and that gate inputs with a leading UTF-8 byte-order mark give the
+bytes that they give without one.
 """
 
 import os
@@ -25,6 +26,15 @@ def _run_under_an_ascii_locale(argv):
                           env=env, timeout=60, capture_output=True, text=True)
 
 
+def _assert_same_files_with_lf(expected, got):
+    names = sorted(p.name for p in expected.iterdir())
+    assert sorted(p.name for p in got.iterdir()) == names
+    for name in names:
+        data = (got / name).read_bytes()
+        assert data == (expected / name).read_bytes(), name
+        assert b"\r\n" not in data
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_gate_files_alike_under_an_ascii_locale(tmp_path, fmt):
     # The recipe, grid and config are read as UTF-8, and every file is
@@ -39,17 +49,26 @@ def test_gate_files_alike_under_an_ascii_locale(tmp_path, fmt):
     assert main(argv + [str(tmp_path / "utf8")]) == 0
     proc = _run_under_an_ascii_locale(argv + [str(tmp_path / "c")])
     assert proc.returncode == 0, proc.stderr
-    names = sorted(p.name for p in (tmp_path / "utf8").iterdir())
-    assert sorted(p.name for p in (tmp_path / "c").iterdir()) == names
-    for name in names:
-        data = (tmp_path / "c" / name).read_bytes()
-        assert data == (tmp_path / "utf8" / name).read_bytes(), name
-        assert b"\r\n" not in data
+    _assert_same_files_with_lf(tmp_path / "utf8", tmp_path / "c")
     # A config key outside ASCII is named as unknown, not undecodable.
     (tmp_path / "dev.json").write_text('{"caf\u00e9": 1.0}', encoding="utf-8")
     proc = _run_under_an_ascii_locale(argv + [str(tmp_path / "k")])
     assert proc.returncode == 2
     assert "unknown device parameter key" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["truth-table"],
+    ["mc", "-n", "70", "--format", "json"],
+    ["sweep", "--axis", "RA", "--min", "5", "--max", "50", "--points", "70"],
+], ids=["truth-table", "mc", "sweep"])
+def test_report_files_alike_under_an_ascii_locale(tmp_path, argv):
+    # Every report is written as UTF-8 with LF endings, whatever the
+    # locale's encoding.
+    assert main(argv + ["--out", str(tmp_path / "utf8")]) == 0
+    proc = _run_under_an_ascii_locale(argv + ["--out", str(tmp_path / "c")])
+    assert proc.returncode == 0, proc.stderr
+    _assert_same_files_with_lf(tmp_path / "utf8", tmp_path / "c")
 
 
 @pytest.mark.parametrize("marked", ["ops.txt", "grid.csv", "dev.json"])

@@ -164,11 +164,34 @@ def test_fan_in_above_the_limit_rejected():
     # 2^n patterns are solved at once, so n is bounded before any solve.
     n = 9
     spec = spec_for(Topology.TWO_T_ONE_R, n)
-    op = GateOp.for_kind(GateKind.NOR, spec.topology, n_inputs=n)
+    # for_kind rejects n itself when it builds the rows; here they are given.
+    op = GateOp.for_kind(GateKind.NOR, spec.topology, input_rows=range(n))
     with pytest.raises(GateConfigError, match="fan-in limit of 8"):
         truth_table(spec, GateKind.NOR, n, op=op)
     with pytest.raises(GateConfigError, match="fan-in limit of 8"):
         run_mc(spec, op, 1, VariationSpec())
+
+
+@pytest.mark.parametrize("n", [0, 10 ** 6])
+@pytest.mark.parametrize("entry", ["truth_table", "margin_analysis",
+                                   "calibrate_gate", "for_kind"])
+def test_fan_in_outside_its_bounds_rejected_at_every_entry(entry, n):
+    # 0 inputs leave no input row to place the output after, and 10^6
+    # would build a 10^6-row op: both are rejected before either happens.
+    spec = spec_for(Topology.TWO_T_ONE_R, 2)
+    calls = {"truth_table": lambda: truth_table(spec, GateKind.NOR, n),
+             "margin_analysis": lambda: margin_analysis(spec, GateKind.NOR, n),
+             "calibrate_gate": lambda: calibrate_gate(spec, GateKind.NOR, n),
+             "for_kind": lambda: GateOp.for_kind(GateKind.NOR, spec.topology,
+                                                 n_inputs=n)}
+    with pytest.raises(GateConfigError, match="fan-in limit of 8"):
+        calls[entry]()
+
+
+def test_a_sweep_over_no_values_is_a_value_error():
+    with pytest.raises(ValueError, match="at least one value"):
+        sweep_margins(spec_for(Topology.TWO_T_ONE_R, 2), GateKind.NOR, 2,
+                      "RA", np.array([]))
 
 
 @pytest.mark.parametrize("topology", list(Topology))
