@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ``truth-table``, ``gate``, ``mc``, ``margin``, ``calibrate``,
-``sweep``. Flags override config-file values; the device parameter file
-defaults to the $SOTLOGIC_CONFIG environment variable when set. Each
-subcommand ends in one :func:`_report` call, which writes its report.
+``sweep``. A command's device is the topology's default parameters,
+overlaid by the ``--config`` file, then by ``--ic-cal``. Each subcommand
+ends in one :func:`_report` call, which writes its report.
 
 Exit codes: 0 success, 1 logic-verification failure, 2 configuration error.
 """
@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import functools
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -36,8 +35,6 @@ EXIT_OK = 0
 EXIT_LOGIC = 1
 EXIT_CONFIG = 2
 
-CONFIG_ENV = "SOTLOGIC_CONFIG"
-
 # Size limits, checked before anything is allocated (as is the fan-in
 # limit, ``gates.MAX_INPUTS``): a sweep solves and reports one row per
 # point, a histogram one row per bin, and an MC campaign keeps every trial
@@ -54,7 +51,7 @@ def _common_flags() -> argparse.ArgumentParser:
     """The flags every subcommand takes, as a parent parser to copy from."""
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", default=None,
-                        help=f"device parameter JSON (default: ${CONFIG_ENV})")
+                        help="device parameter JSON")
     parser.add_argument("--topology", default="2t1r",
                         choices=[t.value for t in Topology])
     parser.add_argument("--gate", default="nor", choices=[k.value for k in GateKind])
@@ -68,8 +65,6 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="override output write current (vgsot; skips calibration)")
     parser.add_argument("--pulse", type=float, default=None,
                         help="override pulse width in seconds")
-    parser.add_argument("--r-on", type=float, default=None,
-                        help="override access transistor on-resistance")
     parser.add_argument("--ic-cal", type=float, default=None,
                         help="override threshold calibration factor (skips calibration)")
     parser.add_argument("--margin-fraction", type=float, default=0.5,
@@ -130,16 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_params(args) -> DeviceParams:
     VariationSpec(seed=args.seed)  # raises unless it fits mc's 64-bit key
     topology = Topology.parse(args.topology)
-    base = DeviceParams.default_2t1r() if topology is Topology.TWO_T_ONE_R \
+    params = DeviceParams.default_2t1r() if topology is Topology.TWO_T_ONE_R \
         else DeviceParams.default_vgsot()
-    cfg = args.config or os.environ.get(CONFIG_ENV)
-    params = load_device_params(cfg, base=base) if cfg else base
-    overrides = {}
-    if args.r_on is not None:
-        overrides["R_on"] = args.r_on
-    if args.ic_cal is not None:
-        overrides["Ic_cal"] = args.ic_cal
-    return params.replace(**overrides) if overrides else params
+    if args.config:
+        params = load_device_params(args.config, base=params)
+    return params if args.ic_cal is None else params.replace(Ic_cal=args.ic_cal)
 
 
 def _resolve_spec(args) -> tuple[ArraySpec, GateKind]:

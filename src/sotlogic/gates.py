@@ -102,6 +102,7 @@ class GateOp:
         object.__setattr__(self, "input_rows", tuple(self.input_rows))
         if not self.input_rows:
             raise GateConfigError("gate needs at least one input row")
+        check_fan_in(len(self.input_rows))
         if len(set(self.input_rows)) != len(self.input_rows):
             raise GateConfigError("input rows must be distinct")
         if self.output_row in self.input_rows:
@@ -291,7 +292,6 @@ def _solve_patterns(array_spec: ArraySpec, kind: GateKind, n_inputs: int,
     last axis. ``dev`` (default: nominal) serves every cell; columns in it
     or in ``v_drive`` (default: the op's) add a leading axis. Returns the
     op and the :func:`solve_pattern` result."""
-    check_fan_in(n_inputs)
     if op is None:
         op = GateOp.for_kind(kind, array_spec.topology, n_inputs=n_inputs)
     if op.kind is not kind or op.n_inputs != n_inputs:
@@ -536,17 +536,16 @@ def parse_gate_ops(text: str, topology: Topology) -> list:
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
-        if len(fields) < 4:
-            raise ValueError(
-                f"op line {lineno}: need kind,col,in_rows,out_row")
+        if not 4 <= len(fields) <= 7:
+            raise ValueError(f"op line {lineno}: need "
+                             "kind,col,in_rows,out_row[,v_drive,i_sot,pulse]")
+        fields += [""] * (7 - len(fields))
         try:
             kind = GateKind.parse(fields[0])
             col = int(fields[1])
             in_rows = tuple(int(r) for r in fields[2].split(";") if r)
             out_row = int(fields[3])
-            v_drive = float(fields[4]) if len(fields) > 4 and fields[4] else None
-            i_sot = float(fields[5]) if len(fields) > 5 and fields[5] else None
-            pulse = float(fields[6]) if len(fields) > 6 and fields[6] else None
+            v_drive, i_sot, pulse = (float(f) if f else None for f in fields[4:])
         except ValueError as exc:
             raise ValueError(f"op line {lineno}: {exc}") from exc
         ops.append(GateOp.for_kind(kind, topology, input_rows=in_rows,

@@ -12,12 +12,11 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import tempfile
 import warnings
 from pathlib import Path
 
-from sotlogic.cli import CONFIG_ENV, main
+from sotlogic.cli import main
 
 MANIFEST = Path(__file__).with_name("corpus_digests.json")
 TOPOLOGIES = ("2t1r", "vgsot")
@@ -169,7 +168,6 @@ def record(argv, root) -> dict:
 
 
 def _rerecord() -> None:
-    os.environ.pop(CONFIG_ENV, None)  # an argv's device is its own --config
     old = json.loads(MANIFEST.read_bytes()) if MANIFEST.exists() else {}
     new = {}
     with tempfile.TemporaryDirectory() as tmp:

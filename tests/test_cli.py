@@ -81,22 +81,23 @@ def test_removed_parameters_are_unknown_keys_and_axes(tmp_path, capsys, name):
     assert f"unknown sweep axis {name!r}" in capsys.readouterr().err
 
 
-def test_config_env_var(tmp_path, monkeypatch):
-    cfg = tmp_path / "dev.json"
-    cfg.write_text(json.dumps({"TMR0": 0.0}))
-    monkeypatch.setenv("SOTLOGIC_CONFIG", str(cfg))
-    assert main(["truth-table", "--out", str(tmp_path / "o")]) == 1
-
-
 def test_flags_override_config(tmp_path):
     cfg = tmp_path / "dev.json"
-    cfg.write_text(json.dumps({"R_on": 500.0}))
+    cfg.write_text(json.dumps({"R_on": 1e-6}))
     out = tmp_path / "o"
-    assert main(["margin", "--config", str(cfg), "--r-on", "0.000001",
-                 "--out", str(out)]) == 0
+    assert main(["margin", "--config", str(cfg), "--out", str(out)]) == 0
     _, rows = read_table(out / "margin_summary.csv")
     # With (effectively) zero access resistance the margin is ~66.8 uA.
     assert abs(float(rows[0][2]) - 66.8e-6) < 0.5e-6
+    # --ic-cal overrides the file's Ic_cal: the reports, whose digest covers
+    # the resolved device, are the same with and without it in the file.
+    reports = []
+    for name, device in (("without", {}), ("with", {"Ic_cal": 50.0})):
+        cfg.write_text(json.dumps(device))
+        assert main(["truth-table", "--config", str(cfg), "--ic-cal", "1.78",
+                     "--out", str(tmp_path / name)]) == 0
+        reports.append(_snapshot(tmp_path / name))
+    assert reports[0] == reports[1]
 
 
 def test_v_drive_override_recalibrates(tmp_path):
@@ -418,7 +419,7 @@ def test_gate_topology_mismatch(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["truth-table", "--r-on", "inf"], "R_on must be finite"),
+    (["truth-table", "--config", "{inf_config}"], "R_on must be finite"),
     (["truth-table", "--config", "{nan_config}"], "TMR0 must be finite"),
     (["truth-table", "--ic-cal", "1", "--v-drive", "nan"],
      "v_drive must be finite"),
@@ -528,9 +529,15 @@ def test_gate_topology_mismatch(tmp_path, capsys):
      "seed must fit in 64 bits"),
     (["gate", "--ops", "{nor_recipe}", "--seed", "18446744073709551616"],
      "seed must fit in 64 bits"),
+    # Recipe lines with more fields, or more input rows, than an op takes.
+    (["gate", "--ops", "{long_recipe}"],
+     "op line 1: need kind,col,in_rows,out_row[,v_drive,i_sot,pulse]"),
+    (["gate", "--ops", "{wide_recipe}", "--rows", "12"],
+     "10 inputs: a gate takes 1 up to the fan-in limit of 8"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
     files = {"{nan_config}": ("nan.json", '{"TMR0": NaN}'),
+             "{inf_config}": ("inf.json", '{"R_on": Infinity}'),
              "{ms_config}": ("ms.json", '{"Ms": 1e200}'),
              "{ki0_config}": ("ki0.json", '{"Ki0": 1e-9}'),
              "{d_config}": ("d.json", '{"D": 1e-300}'),
@@ -554,6 +561,9 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv, message):
              "{negative_pulse_recipe}": ("pulse.txt", "nor,0,0;1,2,,,-1\n"),
              "{xor_recipe}": ("xor.txt", "xor,0,0;1,2\n"),
              "{short_recipe}": ("short.txt", "nor,0\n"),
+             "{long_recipe}": ("long.txt",
+                               "nor,0,0;1,2,1.1,6e-5,2e-9,junk,more\n"),
+             "{wide_recipe}": ("wide.txt", "nor,0,0;1;2;3;4;5;6;7;8;9,10\n"),
              "{overlap_recipe}": ("overlap.txt", "nor,0,0;1,1\n"),
              "{no_input_recipe}": ("no_input.txt", "nor,0,,2\n"),
              "{col3_recipe}": ("col3.txt", "nor,3,0;1,2\n")}
@@ -615,7 +625,6 @@ COMMON_FLAGS = {
     "v_drive": ("--v-drive", None, "-1.2", -1.2),
     "i_sot": ("--i-sot", None, "5e-5", 5e-5),
     "pulse": ("--pulse", None, "1e-9", 1e-9),
-    "r_on": ("--r-on", None, "100", 100.0),
     "ic_cal": ("--ic-cal", None, "2", 2.0),
     "margin_fraction": ("--margin-fraction", 0.5, "0.25", 0.25),
 }
@@ -747,7 +756,7 @@ def test_fan_in_limit_itself_is_accepted(tmp_path):
 FLOAT_FLAG_COMMANDS = {
     "--v-drive": ["truth-table"], "--pulse": ["truth-table"],
     "--i-sot": ["truth-table", "--topology", "vgsot", "--gate", "or"],
-    "--r-on": ["truth-table"], "--ic-cal": ["truth-table"],
+    "--ic-cal": ["truth-table"],
     "--margin-fraction": ["calibrate"],
     "--min": ["sweep", "--axis", "H_EX_Oe", "--max", "0", "--points", "3"],
     "--max": ["sweep", "--axis", "H_EX_Oe", "--min", "-100", "--points", "3"],
@@ -866,7 +875,7 @@ def test_an_out_path_that_is_a_file_is_a_config_error(tmp_path, argv):
 
 _NUMBERS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-9", "0.2",
                             "0.8", "1.1", "2", "-6e-5", "6e-5", "1e300"])
-_NUMERIC_FLAGS = ("--v-drive", "--i-sot", "--pulse", "--r-on", "--ic-cal",
+_NUMERIC_FLAGS = ("--v-drive", "--i-sot", "--pulse", "--ic-cal",
                   "--margin-fraction")
 
 

@@ -18,3 +18,12 @@ def test_manifest_records_the_corpus_and_every_exit_code():
 @pytest.mark.parametrize("argv", CORPUS, ids=",".join)  # ids hold no space
 def test_corpus_argv_gives_its_recorded_bytes(tmp_path, argv):
     assert record(argv, tmp_path) == RECORDED[key(argv)]
+
+
+def test_the_environment_names_no_device(tmp_path, monkeypatch):
+    # A report's device comes from its argv and the files it names alone.
+    cfg = tmp_path / "dev.json"
+    cfg.write_text('{"TMR0": 0}')
+    monkeypatch.setenv("SOTLOGIC_CONFIG", str(cfg))
+    argv = "truth-table --topology 2t1r --gate nor --inputs 2 --format csv"
+    assert record(argv.split(), tmp_path) == RECORDED[argv]
